@@ -24,10 +24,9 @@ from .singcat import (Check, DeclaredSing, NonConvenient, SingType,
                       SmoothCurve, VerificationReport, alpha_curve,
                       arnold_exponent, kouchnirenko_mu, local_numbers,
                       verify_declared)
-from .syzygy import (DegreeMismatch, GradedProfile, KoszulMismatch,
-                     NotStabilized, RelationViolated, SyzygyTriple, ar_basis,
-                     ar_dim, clear_caches, ct, defect, er_dim,
-                     gradient_matrix, h0m_dim,
+from .syzygy import (DegreeMismatch, KoszulMismatch, NotStabilized,
+                     RelationViolated, SyzygyTriple, ar_basis, ar_dim, ct,
+                     defect, er_dim, gradient_matrix, h0m_dim,
                      h0m_mult_kernel, jacobian_dim, jacobian_span_equal,
                      koszul_dim, mdr, milnor_dim, sat_basis,
                      sat_dim_iterative, saturation_dim, smooth_milnor_dim,
@@ -40,6 +39,6 @@ from .torelli import (DimensionObstruction, LinearSystem, NotNodalCurve,
                       linear_system_points, moduli_dim, severi_dim,
                       torelli_cuspidal, torelli_nodal, torelli_nodal_count)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

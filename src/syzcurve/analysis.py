@@ -244,8 +244,9 @@ def _module_torelli(rec):
 
 
 def check_expectations(rec: CurveRecord) -> list:
-    """Recompute every expected invariant of a record from scratch and
-    compare.  Returns one result per expectation key, in sorted key order."""
+    """Compute every expected invariant of a record and compare.  Results
+    already kept on rec.f by earlier calls are reused, not recomputed.
+    Returns one result per expectation key, in sorted key order."""
     f = rec.f
     results = []
 

@@ -108,11 +108,11 @@ class QMatrix:
         return "QMatrix(%d, %d)" % (self.rows, self.cols)
 
 
-def _integer_rows(m: QMatrix) -> list:
-    """Rows of m scaled to integers (row scaling preserves rank and kernel)."""
+def _integer_rows(rows) -> list:
+    """Each rational row scaled by the lcm of its denominators to integers
+    (row scaling preserves rank and kernel)."""
     out = []
-    for i in range(m.rows):
-        row = m.row(i)
+    for row in rows:
         den = 1
         for v in row:
             d = v.denominator
@@ -184,7 +184,7 @@ def _echelon(rows, ncols):
 
 def rank(m: QMatrix) -> int:
     """Rank of m, exact."""
-    rows = _integer_rows(m)
+    rows = _integer_rows(m.row(i) for i in range(m.rows))
     r, _ = _echelon(rows, m.cols)
     return r
 
@@ -196,7 +196,7 @@ def kernel_basis(m: QMatrix) -> list:
     column, 0 in the other free columns, and back-substituted values in the
     pivot columns.  The result is deterministic for a given matrix.
     """
-    rows = _integer_rows(m)
+    rows = _integer_rows(m.row(i) for i in range(m.rows))
     rank_, pivot_cols = _echelon(rows, m.cols)
     pivset = set(pivot_cols)
     free_cols = [j for j in range(m.cols) if j not in pivset]

@@ -82,9 +82,14 @@ def mono_index(m: Mono) -> int:
 
 
 class HPoly:
-    """Homogeneous polynomial of a fixed total degree."""
+    """Homogeneous polynomial of a fixed total degree.
 
-    __slots__ = ("degree", "terms", "_hash")
+    `_results` starts as None; syzygy fills it with this curve's graded
+    results, so they live exactly as long as the polynomial.  It takes no
+    part in equality or hashing.
+    """
+
+    __slots__ = ("degree", "terms", "_hash", "_results")
 
     def __init__(self, degree: int, terms: dict):
         if degree < 0:
@@ -102,6 +107,7 @@ class HPoly:
         self.degree = degree
         self.terms = clean
         self._hash = None
+        self._results = None
 
     @classmethod
     def zero(cls, degree: int) -> "HPoly":

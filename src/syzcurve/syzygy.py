@@ -4,15 +4,17 @@ Everything here reduces to exact linear algebra on one family of matrices:
 the stacked multiplication matrix sending a triple (a, b, c) of degree-m
 forms to a f_x + b f_y + c f_z.  Its column span is the degree m + d - 1
 piece of the Jacobian ideal, its kernel is the degree-m piece of the
-relation module.  Ranks and left kernels are cached per (curve, degree)
-because the same matrix backs several invariants.
+relation module.  The same matrix backs several invariants, so each
+curve's ranks, left kernels, Koszul dimensions and saturation dimensions are
+kept on the polynomial itself, keyed by (kind, degree), and reused for as
+long as the polynomial lives.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactlin import QMatrix, kernel_basis, rank
+from .exactlin import QMatrix, _integer_rows, kernel_basis, rank
 from .ring3 import (HPoly, Mono, dim_graded, mono_basis, _basis_index,
                     mult_matrix, partials)
 
@@ -43,27 +45,11 @@ class SyzygyTriple(NamedTuple):
         return (self.a * fx + self.b * fy + self.c * fz).is_zero()
 
 
-class GradedProfile(NamedTuple):
-    """Integer invariant tabulated over a contiguous degree range."""
-    label: str
-    start: int
-    dims: tuple
-
-    def as_dict(self) -> dict:
-        return {self.start + i: v for i, v in enumerate(self.dims)}
-
-
-_JDIM: dict = {}
-_LKER: dict = {}
-_KOSZUL: dict = {}
-_SATDIM: dict = {}
-
-
-def clear_caches() -> None:
-    _JDIM.clear()
-    _LKER.clear()
-    _KOSZUL.clear()
-    _SATDIM.clear()
+def _results(f: HPoly) -> dict:
+    """The results already computed for f, keyed by (kind, degree)."""
+    if f._results is None:
+        f._results = {}
+    return f._results
 
 
 def gradient_matrix(f: HPoly, m: int) -> QMatrix:
@@ -85,48 +71,31 @@ def gradient_matrix(f: HPoly, m: int) -> QMatrix:
 
 def jacobian_dim(f: HPoly, t: int) -> int:
     """Dimension of the degree-t piece of the Jacobian ideal (f_x, f_y, f_z)."""
-    key = (f, t)
-    if key in _JDIM:
-        return _JDIM[key]
-    m = t - (f.degree - 1)
-    if m < 0:
-        val = 0
-    else:
-        val = rank(gradient_matrix(f, m))
-    _JDIM[key] = val
-    return val
+    results = _results(f)
+    key = ("jdim", t)
+    if key not in results:
+        m = t - (f.degree - 1)
+        results[key] = 0 if m < 0 else rank(gradient_matrix(f, m))
+    return results[key]
 
 
 def _jac_left_kernel(f: HPoly, t: int) -> list:
     """Basis (integer rows) of the annihilator of the Jacobian ideal piece
     inside the dual of the degree-t graded piece."""
-    key = (f, t)
-    if key in _LKER:
-        return _LKER[key]
+    results = _results(f)
+    key = ("lker", t)
+    if key in results:
+        return results[key]
     m = t - (f.degree - 1)
     if m < 0:
         rows = [[0] * dim_graded(t) for _ in range(dim_graded(t))]
         for i in range(dim_graded(t)):
             rows[i][i] = 1
     else:
-        mat = gradient_matrix(f, m).transpose()
-        rows = []
-        for v in kernel_basis(mat):
-            den = 1
-            for q in v:
-                d_ = q.denominator
-                if d_ != 1:
-                    den = den * d_ // _gcd(den, d_)
-            rows.append([int(q * den) for q in v])
-    _LKER[key] = rows
-    _JDIM.setdefault((f, t), dim_graded(t) - len(rows))
+        rows = _integer_rows(kernel_basis(gradient_matrix(f, m).transpose()))
+    results[key] = rows
+    results.setdefault(("jdim", t), dim_graded(t) - len(rows))
     return rows
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def ar_dim(f: HPoly, m: int) -> int:
@@ -150,7 +119,7 @@ def ar_basis(f: HPoly, m: int) -> list:
             HPoly.from_coeff_vector(m, v[:n]),
             HPoly.from_coeff_vector(m, v[n:2 * n]),
             HPoly.from_coeff_vector(m, v[2 * n:])))
-    _JDIM.setdefault((f, m + f.degree - 1), 3 * n - len(out))
+    _results(f).setdefault(("jdim", m + f.degree - 1), 3 * n - len(out))
     return out
 
 
@@ -158,9 +127,10 @@ def koszul_dim(f: HPoly, m: int) -> int:
     """Dimension of the degree-m span of the three sign-alternating relations
     built from pairs of partials, cross-checked against the closed formula
     3 dim S_{m-d+1} - dim S_{m-2d+2}."""
-    key = (f, m)
-    if key in _KOSZUL:
-        return _KOSZUL[key]
+    results = _results(f)
+    key = ("koszul", m)
+    if key in results:
+        return results[key]
     d = f.degree
     formula = 3 * dim_graded(m - d + 1) - dim_graded(m - 2 * d + 2)
     if m - d + 1 < 0:
@@ -182,7 +152,7 @@ def koszul_dim(f: HPoly, m: int) -> int:
     if computed != formula:
         raise KoszulMismatch(
             "koszul dimension at m=%d: rank %d vs formula %d" % (m, computed, formula))
-    _KOSZUL[key] = formula
+    results[key] = formula
     return formula
 
 
@@ -285,27 +255,26 @@ def sat_basis(f: HPoly, k: int) -> list:
     nstar = max(1, 3 * (d - 2) + 1 - k)
     t = k + nstar
     lker = _jac_left_kernel(f, t)
-    nk = dim_graded(k)
-    if not lker:
+    if lker:
+        nk = dim_graded(k)
+        rows = []
+        for var in range(3):
+            shift = _monomial_shift_index(k, t, var)
+            for l in lker:
+                rows.append([l[shift[j]] for j in range(nk)])
+        out = [HPoly.from_coeff_vector(k, v)
+               for v in kernel_basis(QMatrix.from_rows(rows))]
+    else:
         out = [HPoly.monomial(m) for m in mono_basis(k)]
-        _SATDIM[(f, k)] = len(out)
-        return out
-    rows = []
-    for var in range(3):
-        shift = _monomial_shift_index(k, t, var)
-        for l in lker:
-            rows.append([l[shift[j]] for j in range(nk)])
-    basis = kernel_basis(QMatrix.from_rows(rows)) if rows else []
-    out = [HPoly.from_coeff_vector(k, v) for v in basis]
-    _SATDIM[(f, k)] = len(out)
+    _results(f)[("sat", k)] = len(out)
     return out
 
 
 def saturation_dim(f: HPoly, k: int) -> int:
-    key = (f, k)
-    if key not in _SATDIM:
+    results = _results(f)
+    if ("sat", k) not in results:
         sat_basis(f, k)
-    return _SATDIM[key]
+    return results[("sat", k)]
 
 
 def h0m_dim(f: HPoly, k: int) -> int:

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, JSON determinism, and
 corpus parallel/serial agreement."""
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import syzcurve
 from syzcurve.cli import main
 
 GOOD_FILE = """name = cli_quartic
@@ -178,3 +181,9 @@ class TestUsage:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert out.stdout == "0\t0\n1\t2\n"
+
+    def test_version_matches_pyproject(self):
+        text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        m = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+        assert m is not None
+        assert syzcurve.__version__ == m.group(1)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from syzcurve import (ar_basis, ar_dim, clear_caches, ct, defect, dim_graded,
+import syzcurve.syzygy
+from syzcurve import (ar_basis, ar_dim, ct, defect, dim_graded,
                       er_dim, gradient_matrix, h0m_dim, h0m_mult_kernel,
                       jacobian_dim, jacobian_span_equal, koszul_dim, mdr,
                       milnor_dim, parse, sat_basis, sat_dim_iterative,
@@ -174,9 +175,24 @@ class TestSpanAndMultiplication:
         assert h0m_mult_kernel(f, g, 1) == 0
 
 
-class TestCaches:
-    def test_clear_and_recompute(self):
-        v1 = tau(NODAL)
-        clear_caches()
-        assert tau(NODAL) == v1
-        assert saturation_dim(NODAL, 2) == saturation_dim(NODAL, 2)
+class TestResultsOnPolynomial:
+    def test_fresh_equal_polynomial_recomputes_same_values(self):
+        filled = [tau(NODAL), saturation_dim(NODAL, 2), h0m_dim(NODAL, 2)]
+        fresh = parse(str(NODAL))
+        assert fresh == NODAL and fresh is not NODAL
+        assert [tau(fresh), saturation_dim(fresh, 2), h0m_dim(fresh, 2)] == filled
+
+    def test_filling_keeps_equality_and_hash(self):
+        f = parse("y^2*z - x^3 - x*z^2")
+        before = hash(f)
+        tau(f)
+        saturation_dim(f, 1)
+        g = parse(str(f))
+        assert f == g and hash(f) == before == hash(g)
+        assert len({f, g}) == 1
+
+    def test_no_module_level_mutable_state(self):
+        for name, value in vars(syzcurve.syzygy).items():
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            assert not isinstance(value, (dict, list, set)), name
