@@ -349,10 +349,11 @@ def lookup(name: str) -> CurveRecord:
     raise KeyError("no catalog curve named %r" % name)
 
 
-def verify_record(rec: CurveRecord):
+def verify_record(rec: CurveRecord, complete: bool = False):
     """Run the declared-data verification; raise VerificationFailed with
-    the failing checks listed."""
-    report = verify_declared(rec.f, rec.sings)
+    the failing checks listed.  With `complete`, a record that declares no
+    singularity claims a smooth curve (see verify_declared)."""
+    report = verify_declared(rec.f, rec.sings, complete)
     if not report.passed:
         raise VerificationFailed(
             "%s: %s" % (rec.name,
@@ -422,7 +423,8 @@ def _parse_expect_value(text: str):
 def load_curve_file(path: str) -> CurveRecord:
     """Parse a line-oriented curve description, build the record, and run
     the declared-data verification.  The file format requires explicit
-    rational points for every declared singularity."""
+    rational points for every declared singularity and a degree of at
+    least 2."""
     fields = {}
     expected = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -445,6 +447,9 @@ def load_curve_file(path: str) -> CurveRecord:
         f = parse(fields["f"])
     except ValueError as e:
         raise CurveFileSyntax("bad polynomial: %s" % e) from e
+    if f.degree < 2:
+        raise CurveFileSyntax("curve degree must be at least 2, got %d"
+                              % f.degree)
     irreducible = fields.get("irreducible", "true").lower() == "true"
     components = int(fields.get("components", "1"))
     genera = None
@@ -455,5 +460,7 @@ def load_curve_file(path: str) -> CurveRecord:
         sings = [_parse_sing(c) for c in fields["sing"].split(";") if c.strip()]
     rec = CurveRecord(fields["name"], f, irreducible, components, genera,
                       tuple(sings), frozenset({"file"}), expected)
-    verify_record(rec)
+    # a file lists every singularity: one without a sing line claims that
+    # the curve is smooth
+    verify_record(rec, complete=True)
     return rec

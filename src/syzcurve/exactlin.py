@@ -2,8 +2,10 @@
 
 Dense matrices with Fraction entries, eliminated fraction-free over the
 integers (per-row denominator clearing, then integer row combinations with
-content stripping).  No floating point is used anywhere; every rank, kernel
-and membership answer is exact.
+content stripping).  Kernel vectors are back-substituted in integers too,
+as numerators over one common denominator, and become Fractions only at the
+end.  No floating point is used anywhere; every rank, kernel and membership
+answer is exact.
 """
 from __future__ import annotations
 
@@ -141,7 +143,9 @@ def _echelon(rows, ncols):
     Pivot choice: in the current column, the nonzero entry of smallest
     bit-size wins; ties go to the lowest row index.  Each updated row is
     divided by its integer content, which keeps entry growth in check
-    without ever leaving exact integer arithmetic.
+    without ever leaving exact integer arithmetic.  A row below the pivot is
+    already zero left of the pivot column, so it is combined with the pivot
+    row only from that column on.
 
     Returns (rank, pivot_cols).
     """
@@ -165,6 +169,7 @@ def _echelon(rows, ncols):
             rows[rank], rows[best] = rows[best], rows[rank]
         rp = rows[rank]
         piv = rp[c]
+        tail = rp[c:]
         for i in range(rank + 1, nrows):
             ri = rows[i]
             f = ri[c]
@@ -172,11 +177,11 @@ def _echelon(rows, ncols):
                 continue
             g = gcd(piv, f)
             a, b = piv // g, f // g
-            new = [a * x - b * y for x, y in zip(ri, rp)]
+            new = [a * x - b * y for x, y in zip(ri[c:], tail)]
             ct = _row_content(new)
             if ct > 1:
                 new = [x // ct for x in new]
-            rows[i] = new
+            ri[c:] = new
         pivot_cols.append(c)
         rank += 1
     return rank, pivot_cols
@@ -194,7 +199,14 @@ def kernel_basis(m: QMatrix) -> list:
 
     One basis vector per free column: the vector carries 1 in its free
     column, 0 in the other free columns, and back-substituted values in the
-    pivot columns.  The result is deterministic for a given matrix.
+    pivot columns.  These conditions fix the basis, so it depends on the
+    matrix alone.
+
+    Back-substitution runs in integers: each vector is kept as integer
+    numerators over one common denominator, on its solved support only (the
+    free column and the nonzero pivot values found so far).  The numerators
+    are multiplied through only when a pivot does not divide the
+    accumulated sum, and each entry becomes a Fraction once, at the end.
     """
     rows = _integer_rows(m.row(i) for i in range(m.rows))
     rank_, pivot_cols = _echelon(rows, m.cols)
@@ -202,18 +214,32 @@ def kernel_basis(m: QMatrix) -> list:
     free_cols = [j for j in range(m.cols) if j not in pivset]
     basis = []
     for fc in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
+        # v[j] = num / den for j, num in zip(cols, nums), 0 elsewhere; den
+        # may be negative, which Fraction normalises
+        cols, nums, den = [fc], [1], 1
         # echelon rows are triangular on the pivot columns; solve upwards
         for r in range(rank_ - 1, -1, -1):
             row = rows[r]
-            pc = pivot_cols[r]
-            acc = Fraction(0)
-            for j in range(pc + 1, m.cols):
+            acc = 0
+            for j, n in zip(cols, nums):
                 coef = row[j]
-                if coef and v[j]:
-                    acc += coef * v[j]
-            v[pc] = -acc / row[pc] if acc else Fraction(0)
+                if coef:
+                    acc += coef * n
+            if not acc:
+                continue
+            # v[pc] = -acc / (den * piv); scale by piv / g unless piv | acc
+            piv = row[pivot_cols[r]]
+            g = gcd(acc, piv)
+            if g != abs(piv):
+                mul = piv // g
+                nums = [n * mul for n in nums]
+                den *= mul
+                piv = g
+            cols.append(pivot_cols[r])
+            nums.append(-(acc // piv))
+        v = [Fraction(0)] * m.cols
+        for j, n in zip(cols, nums):
+            v[j] = Fraction(n, den)
         basis.append(v)
     return basis
 

@@ -181,12 +181,15 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def verify_declared(f: HPoly, sings) -> VerificationReport:
+def verify_declared(f: HPoly, sings, complete: bool = False) -> VerificationReport:
     """Check declared singularity data against exact computation.
 
     Runs: gradient vanishing at each declared point, tangent incidence for
     declared tangent lines, and the global Tjurina count against the sum of
-    declared local Tjurina numbers (when every singularity is declared).
+    declared local Tjurina numbers.  A nonempty declaration is taken as
+    complete.  An empty one claims nothing (a family may have singularities
+    outside the type dictionary) unless `complete` is set: then it claims
+    that the curve is smooth, and tau = 0 is checked.
     Failures are reported, not raised.
     """
     sings = list(sings)
@@ -207,7 +210,7 @@ def verify_declared(f: HPoly, sings) -> VerificationReport:
             checks.append(Check(label + " tangent", tv == 0,
                                 "tangent %s at %s evaluates to %s"
                                 % (s.tangent, s.point, tv)))
-    if sings:
+    if sings or complete:
         declared = sum(local_numbers(s.stype)[1] for s in sings)
         try:
             computed = global_tau(f)

@@ -60,6 +60,24 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2
 
+    def test_file_without_sing_line_claims_smooth(self, capsys, tmp_path):
+        path = tmp_path / "triangle.curve"
+        path.write_text("name = undeclared\nf = x*y*z\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "verification failed" in err
+        assert "declared 0, computed 3" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("poly, degree", [("x", 1), ("1", 0)])
+    def test_degree_below_two_exit_2(self, capsys, tmp_path, poly, degree):
+        path = tmp_path / "low.curve"
+        path.write_text("name = low\nf = %s\n" % poly)
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "curve file error" in err
+        assert "degree must be at least 2, got %d" % degree in err
+
     def test_json_to_file_round_trips(self, capsys, tmp_path):
         dest = tmp_path / "report.json"
         code, _, _ = run(capsys, "analyze", "nodal_cubic", "--json",

@@ -85,6 +85,9 @@ class TestFamilies:
     def test_non_ts_family_general_exponent_has_no_declared_type(self):
         rec = non_ts_family(2, 3, 2)
         assert rec.sings == ()
+        # declaring nothing makes no smoothness claim for a library record
+        verify_record(rec)
+        verify_record(non_ts_family(2, 2, 3))
 
 
 GOOD_FILE = """

@@ -6,14 +6,110 @@ import pytest
 from hypothesis import given, settings
 
 from syzcurve import QMatrix, in_span, kernel_basis, rank, solve
+from syzcurve.curvecat import lookup
+from syzcurve.exactlin import _echelon, _integer_rows
+from syzcurve.syzygy import gradient_matrix
 
-from conftest import coeffs, qmatrices
+from conftest import coeffs, nonzero_coeffs, qmatrices
 
 F = Fraction
 
 
 def M(rowlists):
     return QMatrix.from_rows([[F(v) for v in row] for row in rowlists])
+
+
+def reference_rref(m):
+    """Reduced row echelon form of m by plain Fraction Gauss-Jordan.
+
+    Returns (rows, pivot_cols).  Independent of the package's fraction-free
+    elimination; the tests use it as the reference for rank and kernel.
+    """
+    rows = m.row_lists()
+    pivot_cols = []
+    r = 0
+    for c in range(m.cols):
+        p = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.rows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    return rows[:r], pivot_cols
+
+
+def reference_kernel(m):
+    """The canonical kernel basis: one vector per free column, 1 there, 0 in
+    the other free columns, read off the reduced row echelon form."""
+    rows, pivot_cols = reference_rref(m)
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivot_cols:
+            continue
+        v = [F(0)] * m.cols
+        v[fc] = F(1)
+        for row, pc in zip(rows, pivot_cols):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def fraction_back_substitution(m):
+    """The kernel basis by the earlier Fraction back-substitution over the
+    package's echelon rows: a reference for the integer back-substitution
+    on matrices too large for reference_kernel."""
+    rows = _integer_rows(m.row_lists())
+    rank_, pivot_cols = _echelon(rows, m.cols)
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivot_cols:
+            continue
+        v = [F(0)] * m.cols
+        v[fc] = F(1)
+        for r in range(rank_ - 1, -1, -1):
+            row = rows[r]
+            pc = pivot_cols[r]
+            acc = F(0)
+            for j in range(pc + 1, m.cols):
+                if row[j] and v[j]:
+                    acc += row[j] * v[j]
+            v[pc] = -acc / row[pc] if acc else F(0)
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def shaped_qmatrices(draw):
+    """Matrices with inserted zero rows and columns, wide or tall shapes and
+    optionally fractional entries."""
+    shape = draw(st.sampled_from(["any", "wide", "tall"]))
+    if shape == "any":
+        m = draw(qmatrices(max_dim=8))
+        rows, cols = m.rows, m.cols
+        entries = list(m.entries)
+    else:
+        short = draw(st.integers(min_value=1, max_value=3))
+        long_ = draw(st.integers(min_value=5, max_value=12))
+        rows, cols = (short, long_) if shape == "wide" else (long_, short)
+        entries = [F(draw(coeffs)) for _ in range(rows * cols)]
+    if draw(st.booleans()):
+        entries = [e / draw(nonzero_coeffs) for e in entries]
+    grid = [entries[i * cols:(i + 1) * cols] for i in range(rows)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=len(grid)))
+        grid.insert(at, [F(0)] * cols)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=cols))
+        for row in grid:
+            row.insert(at, F(0))
+        cols += 1
+    return QMatrix.from_rows(grid)
 
 
 class TestRank:
@@ -70,6 +166,43 @@ class TestKernel:
     def test_kernel_deterministic(self):
         m = M([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]])
         assert kernel_basis(m) == kernel_basis(m)
+
+
+class TestAgainstReference:
+    """rank and kernel_basis equal a plain Fraction Gauss-Jordan, and the
+    kernel equals the earlier Fraction back-substitution.  Callers such as
+    sat_basis, ar_basis and the Torelli systems depend on the canonical
+    basis, not just on some basis of the kernel."""
+
+    @given(qmatrices(max_dim=8))
+    @settings(max_examples=100)
+    def test_small(self, m):
+        assert kernel_basis(m) == fraction_back_substitution(m)
+        assert kernel_basis(m) == reference_kernel(m)
+        assert rank(m) == len(reference_rref(m)[1])
+
+    @given(shaped_qmatrices())
+    @settings(max_examples=100)
+    def test_shaped(self, m):
+        assert kernel_basis(m) == reference_kernel(m)
+        assert rank(m) == len(reference_rref(m)[1])
+
+    def test_zero_matrix(self):
+        m = QMatrix(2, 3, [F(0)] * 6)
+        assert kernel_basis(m) == reference_kernel(m)
+        assert kernel_basis(m) == QMatrix.identity(3).row_lists()
+
+    def test_six_node_sextic_left_kernel(self):
+        # the transposed gradient matrix at T + 1 = 13, as in the left
+        # kernel behind every saturation degree of this sextic
+        f = lookup("six_node_sextic").f
+        m = gradient_matrix(f, 13 - (f.degree - 1)).transpose()
+        assert (m.rows, m.cols) == (135, 105)
+        ker = kernel_basis(m)
+        assert ker == fraction_back_substitution(m)
+        # tau = 6 (six nodes) fixes both numbers
+        assert len(ker) == 6
+        assert rank(m) == 105 - 6
 
 
 class TestSpanAndSolve:

@@ -133,6 +133,16 @@ class TestVerifyDeclared:
                                     for _ in range(5)])
         assert not short.passed
 
+    def test_complete_empty_declaration_claims_smooth(self):
+        assert verify_declared(parse("x^3 + y^3 + z^3"), [],
+                               complete=True).passed
+        report = verify_declared(parse("x*y*z"), [], complete=True)
+        assert not report.passed
+        assert [c.name for c in report.failures()] == ["tjurina total"]
+        assert "declared 0, computed 3" in report.failures()[0].detail
+        # without `complete` an empty declaration claims nothing
+        assert verify_declared(parse("x*y*z"), []).passed
+
 
 class TestKouchnirenko:
     def test_cusp(self):
