@@ -3,9 +3,10 @@
 Dense matrices with Fraction entries, eliminated fraction-free over the
 integers (per-row denominator clearing, then integer row combinations with
 content stripping).  Kernel vectors are back-substituted in integers too,
-as numerators over one common denominator, and become Fractions only at the
-end.  No floating point is used anywhere; every rank, kernel and membership
-answer is exact.
+as numerators over one common denominator; kernel_basis makes Fractions of
+them only at the end, and integer_kernel scales them to integer rows
+instead.  No floating point is used anywhere; every rank, kernel and
+membership answer is exact.
 """
 from __future__ import annotations
 
@@ -194,28 +195,22 @@ def rank(m: QMatrix) -> int:
     return r
 
 
-def kernel_basis(m: QMatrix) -> list:
-    """Basis of the right kernel {v : m v = 0} as lists of Fractions.
-
-    One basis vector per free column: the vector carries 1 in its free
-    column, 0 in the other free columns, and back-substituted values in the
-    pivot columns.  These conditions fix the basis, so it depends on the
-    matrix alone.
+def _kernel_numerators(m: QMatrix):
+    """Yield the vectors of kernel_basis(m) as (cols, nums, den): the vector
+    is nums[k] / den at cols[k] and 0 elsewhere, cols[0] is its free column
+    and nums[0] == den.  den may be negative.
 
     Back-substitution runs in integers: each vector is kept as integer
     numerators over one common denominator, on its solved support only (the
     free column and the nonzero pivot values found so far).  The numerators
     are multiplied through only when a pivot does not divide the
-    accumulated sum, and each entry becomes a Fraction once, at the end.
+    accumulated sum.
     """
     rows = _integer_rows(m.row(i) for i in range(m.rows))
     rank_, pivot_cols = _echelon(rows, m.cols)
     pivset = set(pivot_cols)
     free_cols = [j for j in range(m.cols) if j not in pivset]
-    basis = []
     for fc in free_cols:
-        # v[j] = num / den for j, num in zip(cols, nums), 0 elsewhere; den
-        # may be negative, which Fraction normalises
         cols, nums, den = [fc], [1], 1
         # echelon rows are triangular on the pivot columns; solve upwards
         for r in range(rank_ - 1, -1, -1):
@@ -237,9 +232,41 @@ def kernel_basis(m: QMatrix) -> list:
                 piv = g
             cols.append(pivot_cols[r])
             nums.append(-(acc // piv))
+        yield cols, nums, den
+
+
+def kernel_basis(m: QMatrix) -> list:
+    """Basis of the right kernel {v : m v = 0} as lists of Fractions.
+
+    One basis vector per free column: the vector carries 1 in its free
+    column, 0 in the other free columns, and back-substituted values in the
+    pivot columns.  These conditions fix the basis, so it depends on the
+    row space of m alone.  Each entry becomes a Fraction once, from the
+    integer numerators of _kernel_numerators.
+    """
+    basis = []
+    for cols, nums, den in _kernel_numerators(m):
         v = [Fraction(0)] * m.cols
         for j, n in zip(cols, nums):
             v[j] = Fraction(n, den)
+        basis.append(v)
+    return basis
+
+
+def integer_kernel(m: QMatrix) -> list:
+    """kernel_basis(m) with each vector scaled to coprime integers, positive
+    in its free column: exactly _integer_rows(kernel_basis(m)), without
+    making a Fraction."""
+    basis = []
+    for cols, nums, den in _kernel_numerators(m):
+        # gcd(*nums) divides den == nums[0]; dividing by it, with the sign
+        # of den, leaves the coprime row _integer_rows would make
+        g = gcd(*nums)
+        if den < 0:
+            g = -g
+        v = [0] * m.cols
+        for j, n in zip(cols, nums):
+            v[j] = n // g
         basis.append(v)
     return basis
 

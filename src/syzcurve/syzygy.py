@@ -1,20 +1,29 @@
 """Graded syzygies of the Jacobian ideal of a reduced plane curve.
 
-Everything here reduces to exact linear algebra on one family of matrices:
-the stacked multiplication matrix sending a triple (a, b, c) of degree-m
-forms to a f_x + b f_y + c f_z.  Its column span is the degree m + d - 1
-piece of the Jacobian ideal, its kernel is the degree-m piece of the
-relation module.  The same matrix backs several invariants, so each
-curve's ranks, left kernels, Koszul dimensions and saturation dimensions are
-kept on the polynomial itself, keyed by (kind, degree), and reused for as
-long as the polynomial lives.
+Everything here reduces to exact linear algebra on graded pieces of the
+Jacobian ideal J = (f_x, f_y, f_z).  Its degree-t piece is spanned by the
+generator rows u * f_i with deg u = t - d + 1.  The rows forced by the
+trivial (Koszul) relations f_i * f_j = f_j * f_i are left out before any
+elimination (jacobian_rows), so the ranks of J_t and its annihilator in
+the dual of S_t, the left kernel behind saturation, eliminate only the
+generators that can carry new information.  The relation module itself
+needs every generator column: its degree-m piece is the kernel of
+gradient_matrix(f, m), which sends a triple (a, b, c) of degree-m forms to
+a f_x + b f_y + c f_z.
+
+Each curve's ranks, left kernels, Koszul dimensions and saturation
+dimensions are kept on the polynomial itself, keyed by (kind, degree), and
+reused for as long as the polynomial lives; tau takes its value at
+3(d-2) + 1 from the left kernel there, which saturation and freeness need
+anyway, so that piece is eliminated once per curve.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
-from .exactlin import QMatrix, _integer_rows, kernel_basis, rank
+from .exactlin import QMatrix, integer_kernel, kernel_basis, rank
 from .ring3 import (HPoly, Mono, dim_graded, mono_basis, _basis_index,
                     mult_matrix, partials)
 
@@ -46,8 +55,15 @@ class SyzygyTriple(NamedTuple):
 
 
 def _results(f: HPoly) -> dict:
-    """The results already computed for f, keyed by (kind, degree)."""
+    """The results already computed for f, keyed by (kind, degree).
+
+    Every cached invariant starts here, so this is where a polynomial of
+    degree below 2, which is no curve with a Jacobian ideal, is refused.
+    """
     if f._results is None:
+        if f.degree < 2:
+            raise ValueError(
+                "curve degree must be at least 2, got degree %d" % f.degree)
         f._results = {}
     return f._results
 
@@ -56,7 +72,9 @@ def gradient_matrix(f: HPoly, m: int) -> QMatrix:
     """Matrix of (a,b,c) -> a f_x + b f_y + c f_z from degree m triples.
 
     Rows follow mono_basis(m + d - 1); the columns are the three mult_matrix
-    blocks for f_x, f_y, f_z side by side.
+    blocks for f_x, f_y, f_z side by side.  Every column is needed where the
+    kernel is the relation module (ar_basis), whose Koszul relations live
+    in exactly the columns jacobian_rows leaves out.
     """
     fx, fy, fz = partials(f)
     blocks = [mult_matrix(g, m) for g in (fx, fy, fz)]
@@ -69,30 +87,64 @@ def gradient_matrix(f: HPoly, m: int) -> QMatrix:
     return QMatrix(nrows, ncols, flat)
 
 
+def jacobian_rows(f: HPoly, t: int) -> QMatrix:
+    """Integer rows spanning the degree-t piece of the Jacobian ideal,
+    against mono_basis(t).
+
+    One row per generator u * f_i with deg u = t - d + 1, the partials
+    scaled by one common integer and taken in x, y, z order.  The row
+    u * f_j is left out when lm(f_i) divides u for an earlier nonzero
+    partial f_i (lm in the graded-lex order of mono_basis), the criterion
+    of Faugere's F5: with u = w * lm(f_i),
+    lc(f_i) * u * f_j = w * f_j * f_i - w * (f_i - lc(f_i) lm(f_i)) * f_j
+    is a combination of f_i rows and of f_j rows at monomials below u, so
+    by induction on j and on u the kept rows span the same space as all
+    rows.  A zero partial contributes no rows and leaves nothing out.
+    """
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    idx = _basis_index(t)
+    ncols = len(idx)
+    gens = mono_basis(t - f.degree + 1)
+    leads: list = []
+    flat: list = []
+    nrows = 0
+    for g in partials(f):
+        if g.is_zero():
+            continue
+        terms = [(m, int(c * scale)) for m, c in g.terms.items()]
+        for u in gens:
+            if any(u.ex >= l.ex and u.ey >= l.ey and u.ez >= l.ez
+                   for l in leads):
+                continue
+            row = [0] * ncols
+            for m, c in terms:
+                row[idx[u * m]] = c
+            flat.extend(row)
+            nrows += 1
+        leads.append(g.leading_monomial())
+    return QMatrix(nrows, ncols, flat)
+
+
 def jacobian_dim(f: HPoly, t: int) -> int:
-    """Dimension of the degree-t piece of the Jacobian ideal (f_x, f_y, f_z)."""
+    """Dimension of the degree-t piece of the Jacobian ideal (f_x, f_y, f_z):
+    the rank of jacobian_rows(f, t)."""
     results = _results(f)
     key = ("jdim", t)
     if key not in results:
         m = t - (f.degree - 1)
-        results[key] = 0 if m < 0 else rank(gradient_matrix(f, m))
+        results[key] = 0 if m < 0 else rank(jacobian_rows(f, t))
     return results[key]
 
 
 def _jac_left_kernel(f: HPoly, t: int) -> list:
-    """Basis (integer rows) of the annihilator of the Jacobian ideal piece
-    inside the dual of the degree-t graded piece."""
+    """Basis of the annihilator of the Jacobian ideal piece inside the dual
+    of the degree-t graded piece: the right kernel of jacobian_rows(f, t),
+    as coprime integer rows.  Fills jacobian_dim(f, t) as well."""
     results = _results(f)
     key = ("lker", t)
     if key in results:
         return results[key]
-    m = t - (f.degree - 1)
-    if m < 0:
-        rows = [[0] * dim_graded(t) for _ in range(dim_graded(t))]
-        for i in range(dim_graded(t)):
-            rows[i][i] = 1
-    else:
-        rows = _integer_rows(kernel_basis(gradient_matrix(f, m).transpose()))
+    rows = integer_kernel(jacobian_rows(f, t))
     results[key] = rows
     results.setdefault(("jdim", t), dim_graded(t) - len(rows))
     return rows
@@ -108,8 +160,7 @@ def ar_dim(f: HPoly, m: int) -> int:
 
 def ar_basis(f: HPoly, m: int) -> list:
     """Kernel basis of gradient_matrix(f, m) as SyzygyTriple objects."""
-    if f.degree < 2:
-        raise ValueError("curve degree must be at least 2")
+    results = _results(f)
     if m < 0:
         return []
     n = dim_graded(m)
@@ -119,7 +170,7 @@ def ar_basis(f: HPoly, m: int) -> list:
             HPoly.from_coeff_vector(m, v[:n]),
             HPoly.from_coeff_vector(m, v[n:2 * n]),
             HPoly.from_coeff_vector(m, v[2 * n:])))
-    _results(f).setdefault(("jdim", m + f.degree - 1), 3 * n - len(out))
+    results.setdefault(("jdim", m + f.degree - 1), 3 * n - len(out))
     return out
 
 
@@ -196,9 +247,15 @@ def smooth_milnor_dim(d: int, k: int) -> int:
 
 def tau(f: HPoly) -> int:
     """Global Tjurina number: the stable value of milnor_dim in degrees
-    3(d-2), 3(d-2)+1, 3(d-2)+2."""
+    3(d-2), 3(d-2)+1, 3(d-2)+2.
+
+    The value at 3(d-2)+1 is the dimension of the left kernel there, which
+    saturation, freeness and the reports need too; computing it here
+    instead of a separate rank means each curve eliminates that piece once.
+    """
     t = 3 * (f.degree - 2)
-    vals = [milnor_dim(f, t), milnor_dim(f, t + 1), milnor_dim(f, t + 2)]
+    vals = [milnor_dim(f, t), len(_jac_left_kernel(f, t + 1)),
+            milnor_dim(f, t + 2)]
     if vals[0] == vals[1] == vals[2]:
         return vals[0]
     # a smooth curve has the one-dimensional socle at 3(d-2) and nothing

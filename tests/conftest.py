@@ -5,6 +5,11 @@ import hypothesis.strategies as st
 
 from syzcurve import HPoly, Mono, QMatrix, mono_basis
 
+# a generic arrangement of nine lines (no three concurrent); its first d
+# lines give the benchmark's degree-ladder curve of degree d
+LADDER_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, 3), (3, 1, 2),
+                (-3, 1, 3), (1, -1, 1), (2, -3, -3), (-2, -3, 1))
+
 coeffs = st.integers(min_value=-9, max_value=9)
 nonzero_coeffs = coeffs.filter(lambda c: c != 0)
 
@@ -35,3 +40,12 @@ def qmatrices(draw, max_dim=5):
 
 def mat_vec(m, v):
     return m.mul_vector(v)
+
+
+def line_product(lines) -> HPoly:
+    """The product of the linear forms a x + b y + c z, (a, b, c) in lines."""
+    x, y, z = (HPoly.variable(v) for v in "xyz")
+    f = HPoly.constant(1)
+    for a, b, c in lines:
+        f = f * (a * x + b * y + c * z)
+    return f

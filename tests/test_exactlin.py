@@ -7,10 +7,11 @@ from hypothesis import given, settings
 
 from syzcurve import QMatrix, in_span, kernel_basis, rank, solve
 from syzcurve.curvecat import lookup
-from syzcurve.exactlin import _echelon, _integer_rows
-from syzcurve.syzygy import gradient_matrix
+from syzcurve.exactlin import _echelon, _integer_rows, integer_kernel
+from syzcurve.syzygy import gradient_matrix, jacobian_rows
 
-from conftest import coeffs, nonzero_coeffs, qmatrices
+from conftest import (LADDER_LINES, coeffs, line_product, nonzero_coeffs,
+                      qmatrices)
 
 F = Fraction
 
@@ -203,6 +204,31 @@ class TestAgainstReference:
         # tau = 6 (six nodes) fixes both numbers
         assert len(ker) == 6
         assert rank(m) == 105 - 6
+
+
+class TestIntegerKernel:
+    """integer_kernel is kernel_basis scaled to integer rows, sign and scale
+    included, as _integer_rows would scale it."""
+
+    @given(qmatrices(max_dim=8))
+    @settings(max_examples=100)
+    def test_small(self, m):
+        assert integer_kernel(m) == _integer_rows(kernel_basis(m))
+
+    @given(shaped_qmatrices())
+    @settings(max_examples=100)
+    def test_shaped(self, m):
+        assert integer_kernel(m) == _integer_rows(kernel_basis(m))
+
+    def test_ladder_nonic_left_kernel(self):
+        # the Jacobian rows at T + 1 = 22 of the degree-9 arrangement: the
+        # left kernel behind the saturation and freeness of that curve
+        f = line_product(LADDER_LINES)
+        m = jacobian_rows(f, 22)
+        ker = integer_kernel(m)
+        assert ker == _integer_rows(kernel_basis(m))
+        # tau = C(9, 2) nodes
+        assert len(ker) == 36
 
 
 class TestSpanAndSolve:

@@ -4,18 +4,21 @@ and defect dimensions."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import syzcurve.syzygy
-from syzcurve import (ar_basis, ar_dim, ct, defect, dim_graded,
-                      er_dim, gradient_matrix, h0m_dim, h0m_mult_kernel,
-                      jacobian_dim, jacobian_span_equal, koszul_dim, mdr,
-                      milnor_dim, parse, sat_basis, sat_dim_iterative,
-                      saturation_dim, smooth_milnor_dim, tau)
+from syzcurve import (CurveRecord, ar_basis, ar_dim, build_report, catalog,
+                      ct, defect, dim_graded, er_dim, gcd_many,
+                      gradient_matrix, h0m_dim, h0m_mult_kernel,
+                      jacobian_dim, jacobian_span_equal, kernel_basis,
+                      koszul_dim, mdr, milnor_dim, parse, rank, sat_basis,
+                      sat_dim_iterative, saturation_dim, smooth_milnor_dim,
+                      tau)
 from syzcurve.curvecat import lookup, non_ts_family
 from syzcurve.ring3 import partials
+from syzcurve.syzygy import jacobian_rows
 
-from conftest import hpolys
+from conftest import LADDER_LINES, hpolys, line_product
 
 TRIANGLE = parse("x*y*z")
 FERMAT3 = parse("x^3 + y^3 + z^3")
@@ -39,6 +42,73 @@ class TestJacobianDim:
         for k in range(0, 6):
             assert milnor_dim(FERMAT3, k) == dim_graded(k) - jacobian_dim(
                 FERMAT3, k)
+
+
+def check_against_gradient_matrix(f):
+    """jacobian_rows(f, t) against every generator column of
+    gradient_matrix(f, m), t = m + d - 1, for t up to 3(d-2) + 2: equal rank,
+    equal canonical kernel, and no more rows left out than the Koszul
+    closed form 3 dim S_{m-d+1} - dim S_{m-2d+2}.  Returns the numbers of
+    rows left out, by m."""
+    d = f.degree
+    nonzero = sum(not g.is_zero() for g in partials(f))
+    dropped = []
+    for m in range(0, 3 * (d - 2) + 2 - (d - 1) + 1):
+        rows = jacobian_rows(f, m + d - 1)
+        full = gradient_matrix(f, m)
+        assert rank(rows) == rank(full)
+        assert kernel_basis(rows) == kernel_basis(full.transpose())
+        left_out = nonzero * dim_graded(m) - rows.rows
+        assert 0 <= left_out <= (3 * dim_graded(m - d + 1)
+                                 - dim_graded(m - 2 * d + 2))
+        dropped.append(left_out)
+    return dropped
+
+
+class TestJacobianRows:
+    """The Koszul-pruned generator rows span the same Jacobian ideal piece
+    as the full gradient matrix; ranks and left kernels come out equal."""
+
+    @given(hpolys(min_degree=2, max_degree=6))
+    @settings(max_examples=25, deadline=None)
+    def test_random_reduced_curves(self, f):
+        assume(gcd_many(partials(f)).degree == 0)
+        check_against_gradient_matrix(f)
+
+    @pytest.mark.parametrize("text", ["x*y*(x - y)", "y*z*(y - z)"])
+    def test_zero_partial_prunes_nothing(self, text):
+        f = parse(text)
+        assert any(g.is_zero() for g in partials(f))
+        check_against_gradient_matrix(f)
+        # the first nonzero partial's leading monomial (x*y, y*z) prunes one
+        # row of the second at m = 2; the zero partial prunes nothing
+        assert jacobian_rows(f, 4).rows == 2 * dim_graded(2) - 1
+
+    def test_fraction_coefficients(self):
+        f = parse("1/2*x^4 - 2/3*x^2*y*z + 5/7*y^4 + 1/5*z^4 + x*y^3")
+        check_against_gradient_matrix(f)
+
+    def test_fermat4_coprime_leads_reach_the_bound(self):
+        f = lookup("fermat4").f
+        d = f.degree
+        assert check_against_gradient_matrix(f) == [
+            3 * dim_graded(m - d + 1) - dim_graded(m - 2 * d + 2)
+            for m in range(0, 3 * (d - 2) + 2 - (d - 1) + 1)]
+
+    def test_collinear_octic(self):
+        dropped = check_against_gradient_matrix(lookup("collinear_octic").f)
+        assert dropped[-1] > 0
+
+    def test_ideal_pieces_need_no_gradient_matrix(self, monkeypatch):
+        def refuse(f, m):
+            raise AssertionError("gradient_matrix(%s, %d) built" % (f, m))
+        monkeypatch.setattr(syzcurve.syzygy, "gradient_matrix", refuse)
+        rec = lookup("one_node_quartic")
+        f = parse(str(rec.f))
+        assert tau(f) == rec.expected["tau"]
+        assert mdr(f) == rec.expected["mdr"]
+        assert (tuple(h0m_dim(f, k) for k in range(7))
+                == rec.expected["h0m_profile"])
 
 
 class TestRelations:
@@ -111,6 +181,18 @@ class TestScalarInvariants:
         assert tau(linear_change(TRIANGLE, m)) == 3
 
 
+class TestDegreeBelowTwo:
+    @pytest.mark.parametrize("text", ["x", "x + y"])
+    def test_rejected_naming_the_degree(self, text):
+        f = parse(text)
+        for invariant in (tau, mdr):
+            with pytest.raises(ValueError, match="got degree 1"):
+                invariant(f)
+        rec = CurveRecord(text, f, True, 1, None, ())
+        with pytest.raises(ValueError, match="got degree 1"):
+            build_report(rec)
+
+
 class TestSaturation:
     def test_triangle_saturation_is_node_ideal(self):
         # saturation = ideal of the three coordinate points
@@ -152,6 +234,26 @@ class TestSaturation:
         for f in (TRIANGLE, NODAL, CUSP, C222):
             for k in range(0, 3 * (f.degree - 2) + 1):
                 assert defect(f, k) >= 0
+
+
+class TestSelfDuality:
+    """The defect module sat(J)/J is self-dual about T/2, T = 3(d - 2)
+    (Sernesi 2014): h0m_dim(f, k) == h0m_dim(f, T - k) for 0 <= k <= T."""
+
+    @staticmethod
+    def h0m_row(f):
+        return [h0m_dim(f, k) for k in range(3 * (f.degree - 2) + 1)]
+
+    @pytest.mark.parametrize(
+        "name", [rec.name for rec in catalog() if rec.degree <= 8])
+    def test_catalog(self, name):
+        row = self.h0m_row(lookup(name).f)
+        assert row == row[::-1]
+
+    def test_ladder_septic(self):
+        row = self.h0m_row(line_product(LADDER_LINES[:7]))
+        assert row == row[::-1]
+        assert sum(row) > 0
 
 
 class TestSpanAndMultiplication:
