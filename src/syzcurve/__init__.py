@@ -16,7 +16,7 @@ from .exactlin import QMatrix, in_span, kernel_basis, rank, solve
 from .logbundle import (BundleNumerics, FreenessVerdict, GenusCheck,
                         NegativeH2, NotNodal, freeness, genus_sum_check,
                         h0_tangent, h1_tangent, h2_tangent, is_stable,
-                        not_free_sufficient, numerics, stability_sufficient)
+                        numerics, stability_sufficient)
 from .polygcd import AllZero, divides, exact_quotient, gcd_many
 from .ring3 import (HPoly, Mono, ProjPoint, dim_graded, linear_change,
                     mono_basis, parse, partials)
@@ -24,7 +24,7 @@ from .singcat import (Check, DeclaredSing, NonConvenient, SingType,
                       SmoothCurve, VerificationReport, alpha_curve,
                       arnold_exponent, kouchnirenko_mu, local_numbers,
                       verify_declared)
-from .syzygy import (DegreeMismatch, KoszulMismatch, NotStabilized,
+from .syzygy import (DegreeMismatch, KoszulMismatch, NotReduced,
                      RelationViolated, SyzygyTriple, ar_basis, ar_dim, ct,
                      defect, er_dim, gradient_matrix, h0m_dim,
                      h0m_mult_kernel, jacobian_dim, jacobian_span_equal,

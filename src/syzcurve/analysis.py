@@ -10,7 +10,6 @@ numbers as "p/q" strings) so that emitted files round-trip byte-for-byte.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -143,7 +142,6 @@ def build_report(rec: CurveRecord, max_degree: Optional[int] = None
     Graded module tables run over [0, top] and bundle cohomology tables
     over [-3, top], where top = d unless capped by max_degree.
     """
-    start = time.monotonic()
     f = rec.f
     d = f.degree
     top = d if max_degree is None else min(d, max_degree)
@@ -221,7 +219,6 @@ def build_report(rec: CurveRecord, max_degree: Optional[int] = None
         },
         "torelli": torelli,
         "genus_check": genus,
-        "timing": {"seconds": "%.3f" % (time.monotonic() - start)},
     }
     return AnalysisReport(data)
 

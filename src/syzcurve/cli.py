@@ -9,7 +9,8 @@ stability  stability verdict for one curve
 freeness   freeness verdict (both decision methods) for one curve
 torelli    reconstructability verdict for one curve
 
-Exit codes: 0 success, 1 usage error, 2 verification or fixture failure.
+Exit codes: 0 success, 1 usage error, 2 verification or fixture failure
+(a curve that is not reduced included).
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .analysis import (UnknownInvariant, build_report, check_expectations,
@@ -25,6 +27,7 @@ from .curvecat import (CurveFileSyntax, VerificationFailed, catalog,
                        load_curve_file, lookup)
 from .logbundle import freeness, is_stable, stability_sufficient
 from .singcat import SmoothCurve, alpha_curve
+from .syzygy import NotReduced
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,15 +65,17 @@ def _emit_json(text: str, dest):
 
 def _cmd_analyze(args) -> int:
     rec = _resolve_curve(args.curve)
+    start = time.monotonic()
     report = build_report(rec, max_degree=args.max_degree)
+    seconds = time.monotonic() - start
     if args.json is not None:
         _emit_json(report.to_json(), args.json)
     if args.json != "-":
-        _print_report(report)
+        _print_report(report, seconds)
     return EXIT_OK
 
 
-def _print_report(report) -> None:
+def _print_report(report, seconds: float) -> None:
     data = report.data
     cur, inv = data["curve"], data["invariants"]
     print("curve      %s  (degree %d, %s, %d component%s)"
@@ -120,7 +125,7 @@ def _print_report(report) -> None:
         print("genus      h1=%d vs sum=%d -> %s"
               % (gc["h1"], gc["genus_sum"],
                  "pass" if gc["passed"] else "FAIL"))
-    print("time       %ss" % data["timing"]["seconds"])
+    print("time       %.3fs" % seconds)
 
 
 def _corpus_worker(name: str):
@@ -308,6 +313,9 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except VerificationFailed as e:
         sys.stderr.write("verification failed: %s\n" % e)
+        return EXIT_VERIFY
+    except NotReduced as e:
+        sys.stderr.write("not reduced: %s\n" % e)
         return EXIT_VERIFY
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
-from .ring3 import HPoly, dim_graded
-from .syzygy import ar_dim, h0m_dim, mdr, tau
+from .ring3 import HPoly
+from .syzygy import RelationViolated, ar_dim, h0m_dim, mdr, tau
 
 
 class NegativeH2(ArithmeticError):
@@ -93,12 +94,6 @@ def stability_sufficient(d: int, alpha: Fraction) -> bool:
     return d > bound
 
 
-def not_free_sufficient(d: int, alpha: Fraction) -> bool:
-    """Sufficient numeric criterion for non-freeness (stability implies the
-    bundle does not split)."""
-    return stability_sufficient(d, alpha)
-
-
 @dataclass(frozen=True)
 class FreenessVerdict:
     free: bool
@@ -118,6 +113,12 @@ def freeness(f: HPoly) -> FreenessVerdict:
     middle.  Cross-check: freeness is equivalent to r*(d-1-r) = (d-1)^2 - tau
     for r the minimal relation degree with 2r <= d-1.  The verdict is driven
     by the primary method; disagreement is recorded, not raised.
+
+    tau itself is checked against the bounds of du Plessis and Wall: with
+    r = min(mdr, d - 1) (mdr counts only non-Koszul relations, so it can
+    exceed d - 1), (d-1)(d-r-1) <= tau <= (d-1)(d-r-1) + r^2, the upper
+    bound less C(2r-d+2, 2) when 2r >= d.  A violation raises
+    RelationViolated.
     """
     d = f.degree
     top = 3 * (d - 2)
@@ -131,6 +132,14 @@ def freeness(f: HPoly) -> FreenessVerdict:
 
     r = mdr(f)
     t = tau(f)
+    r_cap = d - 1 if r is None else min(r, d - 1)
+    lower = (d - 1) * (d - r_cap - 1)
+    upper = lower + r_cap ** 2 - (comb(2 * r_cap - d + 2, 2)
+                                  if 2 * r_cap >= d else 0)
+    if not lower <= t <= upper:
+        raise RelationViolated(
+            "du Plessis-Wall bounds fail at degree %d: tau = %d, r = %d, "
+            "bounds %d..%d" % (d, t, r_cap, lower, upper))
     split = (r is not None and 2 * r <= d - 1
              and r * (d - 1 - r) == (d - 1) ** 2 - t
              and ar_dim(f, r) >= 1)

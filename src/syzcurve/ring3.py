@@ -180,16 +180,8 @@ class HPoly:
 
     def __mul__(self, other):
         if isinstance(other, HPoly):
-            terms: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1 * m2
-                    s = terms.get(m, 0) + c1 * c2
-                    if s:
-                        terms[m] = s
-                    else:
-                        terms.pop(m, None)
-            return HPoly(self.degree + other.degree, terms)
+            return HPoly(self.degree + other.degree,
+                         _dict_mul(self.terms, other.terms))
         c = Fraction(other)
         if not c:
             return HPoly.zero(self.degree)

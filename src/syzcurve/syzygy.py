@@ -11,11 +11,15 @@ needs every generator column: its degree-m piece is the kernel of
 gradient_matrix(f, m), which sends a triple (a, b, c) of degree-m forms to
 a f_x + b f_y + c f_z.
 
-Each curve's ranks, left kernels, Koszul dimensions and saturation
-dimensions are kept on the polynomial itself, keyed by (kind, degree), and
-reused for as long as the polynomial lives; tau takes its value at
-3(d-2) + 1 from the left kernel there, which saturation and freeness need
-anyway, so that piece is eliminated once per curve.
+The invariants are defined for reduced curves, and for those the Milnor
+algebra S/J has dimension tau in every degree from T = 3(d-2) on.  So tau
+is read off one elimination, the left kernel at T + 1, which saturation
+and freeness need anyway, once one small rank has certified that f is
+reduced (_certify_reduced); input that is not reduced raises NotReduced.
+
+Each curve's certificate, ranks, left kernels, Koszul dimensions and
+saturation dimensions are kept on the polynomial itself, keyed by
+(kind, degree), and reused for as long as the polynomial lives.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .exactlin import QMatrix, integer_kernel, kernel_basis, rank
+from .polygcd import gcd_many
 from .ring3 import (HPoly, Mono, dim_graded, mono_basis, _basis_index,
                     mult_matrix, partials)
 
@@ -36,8 +41,8 @@ class RelationViolated(ArithmeticError):
     """A cross-checked identity between invariants failed."""
 
 
-class NotStabilized(ArithmeticError):
-    """The Milnor sequence is not constant where it must be."""
+class NotReduced(ValueError):
+    """The curve has a repeated component, so its invariants are undefined."""
 
 
 class DegreeMismatch(ValueError):
@@ -245,24 +250,59 @@ def smooth_milnor_dim(d: int, k: int) -> int:
     return total
 
 
-def tau(f: HPoly) -> int:
-    """Global Tjurina number: the stable value of milnor_dim in degrees
-    3(d-2), 3(d-2)+1, 3(d-2)+2.
+# (a, b) in the certificate's pair f_x + a f_z, f_y + b f_z, tried in order
+_CERTIFICATE_PAIRS = ((3, 7), (5, 2), (1, 11))
 
-    The value at 3(d-2)+1 is the dimension of the left kernel there, which
-    saturation, freeness and the reports need too; computing it here
-    instead of a separate rank means each curve eliminates that piece once.
+
+def _certify_reduced(f: HPoly) -> None:
+    """Prove f reduced, or raise NotReduced naming the factor its partials
+    share.
+
+    A repeated factor of f divides every partial.  For g1 = f_x + a f_z and
+    g2 = f_y + b f_z, both nonzero, the map (p, q) -> p g1 + q g2 from
+    S_{d-2}^2 to S_{2d-3} is injective exactly when g1 and g2 are coprime,
+    which leaves the partials no common factor; that is one rank per pair.
+    Only when every pair fails is the gcd of the partials computed: in
+    characteristic 0, f is reduced iff it is constant.  A failed pair alone
+    never rejects f.  Keeps the certifying pair on f, or None when the gcd
+    decided.
     """
-    t = 3 * (f.degree - 2)
-    vals = [milnor_dim(f, t), len(_jac_left_kernel(f, t + 1)),
-            milnor_dim(f, t + 2)]
-    if vals[0] == vals[1] == vals[2]:
-        return vals[0]
-    # a smooth curve has the one-dimensional socle at 3(d-2) and nothing
-    # beyond; its Tjurina number is zero
-    if vals == [1, 0, 0] and milnor_dim(f, t + 3) == 0:
-        return 0
-    raise NotStabilized("milnor dimensions %s at degrees %d..%d" % (vals, t, t + 2))
+    results = _results(f)
+    key = ("reduced", 2 * f.degree - 3)
+    if key in results:
+        return
+    k = f.degree - 2
+    fx, fy, fz = partials(f)
+    for a, b in _CERTIFICATE_PAIRS:
+        g1, g2 = fx + fz * a, fy + fz * b
+        if g1.is_zero() or g2.is_zero():
+            continue
+        # one row per product u * g1 and u * g2, deg u = d - 2
+        top, bottom = (mult_matrix(g, k).transpose() for g in (g1, g2))
+        m = QMatrix(2 * top.rows, top.cols, top.entries + bottom.entries)
+        if rank(m) == m.rows:
+            results[key] = (a, b)
+            return
+    common = gcd_many((fx, fy, fz))
+    if common.degree > 0:
+        raise NotReduced(
+            "curve of degree %d is not reduced: its partial derivatives "
+            "share the factor %s" % (f.degree, common))
+    results[key] = None
+
+
+def tau(f: HPoly) -> int:
+    """Global Tjurina number of a reduced curve: milnor_dim at 3(d-2) + 1.
+
+    For reduced f the Milnor algebra has dimension tau in every degree
+    >= 3(d-2) (Choudary and Dimca 1994; du Plessis and Wall 1999), so one
+    degree is enough once _certify_reduced has proved f reduced; NotReduced
+    is raised otherwise.  The value is the dimension of the left kernel
+    there, which saturation, freeness and the reports need too, so this is
+    the only Jacobian elimination tau does.
+    """
+    _certify_reduced(f)
+    return len(_jac_left_kernel(f, 3 * (f.degree - 2) + 1))
 
 
 def ct(f: HPoly) -> int:

@@ -11,7 +11,7 @@ from syzcurve import (alpha_curve, ar_dim, catalog, ct, defect,
                       dimension_obstruction, er_dim, freeness,
                       genus_sum_check, h0m_dim, h1_tangent, is_stable,
                       koszul_dim, kouchnirenko_mu, lookup, mdr, non_ts_family,
-                      not_free_sufficient, numerics, parse, partials, tau,
+                      numerics, parse, partials, stability_sufficient, tau,
                       thom_sebastiani, torelli_cuspidal, torelli_nodal)
 
 
@@ -70,7 +70,7 @@ def test_criterion_06_free_line_arrangements_and_boundary():
     assert v6.free is True and v6.exponents == (2, 3) and v6.methods_agree
     v9 = freeness(lookup("dual_hesse").f)
     assert v9.free is True and v9.exponents == (4, 4) and v9.methods_agree
-    assert not_free_sufficient(9, Fraction(2, 3)) is False
+    assert stability_sufficient(9, Fraction(2, 3)) is False
 
 
 def test_criterion_07_coordinate_product_plus_power_curves():

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import syzcurve
+import syzcurve.cli
+from syzcurve import CurveRecord, parse
 from syzcurve.cli import main
 
 GOOD_FILE = """name = cli_quartic
@@ -34,6 +36,7 @@ class TestAnalyze:
         assert code == 0
         assert "tau        3" in out
         assert "free       True  exponents=(1, 1)" in out
+        assert re.search(r"^time       \d+\.\d{3}s$", out, re.MULTILINE)
 
     def test_missing_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "missing.curve")
@@ -69,6 +72,28 @@ class TestAnalyze:
         assert "declared 0, computed 3" in err
         assert out == ""
 
+    @pytest.mark.parametrize("poly, factor", [
+        ("x^2*y", "x"), ("x^3", "x^2"),
+        ("(x^2 + y^2 + z^2)^2*(x + y + z)^3*y", "x^4 + ")])
+    def test_not_reduced_file_exit_2(self, capsys, tmp_path, poly, factor):
+        path = tmp_path / "nr.curve"
+        path.write_text("name = doubled\nf = %s\n" % poly)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err.startswith("verification failed: doubled: reduced -- ")
+        assert "is not reduced" in err
+        assert "share the factor %s" % factor in err
+        assert out == ""
+
+    def test_library_not_reduced_exit_2(self, capsys, monkeypatch):
+        rec = CurveRecord("doubled", parse("x^2*y"), False, 2, None, ())
+        monkeypatch.setattr(syzcurve.cli, "lookup", lambda name: rec)
+        code, out, err = run(capsys, "analyze", "doubled")
+        assert code == 2
+        assert err == ("not reduced: curve of degree 3 is not reduced: its "
+                       "partial derivatives share the factor x\n")
+        assert out == ""
+
     @pytest.mark.parametrize("poly, degree", [("x", 1), ("1", 0)])
     def test_degree_below_two_exit_2(self, capsys, tmp_path, poly, degree):
         path = tmp_path / "low.curve"
@@ -93,6 +118,13 @@ class TestAnalyze:
         data = json.loads(out)
         assert data["schema"] == 1
         assert data["invariants"]["tau"] == 0
+
+    def test_json_is_byte_identical_across_runs(self, capsys):
+        outputs = [run(capsys, "analyze", "fermat4", "--json")
+                   for _ in range(2)]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+        assert "timing" not in json.loads(outputs[0][1])
 
 
 class TestTable:

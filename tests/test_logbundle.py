@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from syzcurve import (NotNodal, ar_dim, dim_graded, freeness,
+import syzcurve.logbundle
+from syzcurve import (NotNodal, RelationViolated, ar_dim, dim_graded, freeness,
                       genus_sum_check, h0_tangent, h1_tangent, h2_tangent,
-                      h0m_dim, is_stable, not_free_sufficient, numerics,
-                      parse, stability_sufficient, tau)
+                      h0m_dim, is_stable, mdr, numerics, parse,
+                      stability_sufficient, tau)
 from syzcurve.curvecat import catalog, lookup
 
 F = Fraction
@@ -107,8 +108,10 @@ class TestStability:
                 assert is_stable(rec.f), rec.name
 
     def test_not_free_sufficient_boundary(self):
-        assert not not_free_sufficient(9, F(2, 3))
-        assert not_free_sufficient(6, F(5, 6))
+        # stability implies the bundle does not split, so the stability
+        # criterion is also sufficient for non-freeness
+        assert not stability_sufficient(9, F(2, 3))
+        assert stability_sufficient(6, F(5, 6))
 
 
 class TestFreeness:
@@ -145,6 +148,24 @@ class TestFreeness:
             a, b = freeness(rec.f).exponents
             for m in range(0, rec.degree):
                 assert ar_dim(rec.f, m) == dim_graded(m - a) + dim_graded(m - b)
+
+    @pytest.mark.parametrize("name, wrong_tau, message", [
+        ("triangle", 1, "degree 3: tau = 1, r = 1, bounds 2..3"),
+        ("triangle", 4, "degree 3: tau = 4, r = 1, bounds 2..3"),
+        ("nodal_cubic", 2, "degree 3: tau = 2, r = 2, bounds 0..1")])
+    def test_tau_outside_du_plessis_wall_bounds(self, monkeypatch, name,
+                                                wrong_tau, message):
+        monkeypatch.setattr(syzcurve.logbundle, "tau", lambda f: wrong_tau)
+        with pytest.raises(RelationViolated) as info:
+            freeness(parse(str(lookup(name).f)))
+        assert str(info.value) == ("du Plessis-Wall bounds fail at " + message)
+
+    def test_du_plessis_wall_needs_mdr_capped(self):
+        # one_node_quartic has mdr 4 > d - 1; uncapped, the bounds would be
+        # -3..-2 and miss tau = 1
+        f = lookup("one_node_quartic").f
+        assert mdr(f) == 4 and tau(f) == 1
+        assert not freeness(f).free
 
     def test_stable_never_free(self):
         for rec in catalog():

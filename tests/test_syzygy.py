@@ -1,13 +1,14 @@
 """Graded syzygy invariants of the Jacobian ideal: relation modules, the
 minimal relation degree, coincidence threshold, Tjurina number, saturation,
 and defect dimensions."""
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 
 import syzcurve.syzygy
-from syzcurve import (CurveRecord, ar_basis, ar_dim, build_report, catalog,
+from syzcurve import (CurveRecord, NotReduced, ar_basis, ar_dim, build_report, catalog,
                       ct, defect, dim_graded, er_dim, gcd_many,
                       gradient_matrix, h0m_dim, h0m_mult_kernel,
                       jacobian_dim, jacobian_span_equal, kernel_basis,
@@ -16,7 +17,7 @@ from syzcurve import (CurveRecord, ar_basis, ar_dim, build_report, catalog,
                       tau)
 from syzcurve.curvecat import lookup, non_ts_family
 from syzcurve.ring3 import partials
-from syzcurve.syzygy import jacobian_rows
+from syzcurve.syzygy import _results, jacobian_rows
 
 from conftest import LADDER_LINES, hpolys, line_product
 
@@ -139,9 +140,7 @@ class TestRelations:
     @given(hpolys(degree=3))
     @settings(max_examples=15, deadline=None)
     def test_ar_contains_koszul(self, f):
-        if milnor_dim(f, 3 * (f.degree - 2) + 1) != 0:
-            # non-reduced or infinite Tjurina: outside scope
-            return
+        assume(gcd_many(partials(f)).degree == 0)
         for m in range(0, 5):
             assert ar_dim(f, m) >= koszul_dim(f, m)
 
@@ -191,6 +190,79 @@ class TestDegreeBelowTwo:
         rec = CurveRecord(text, f, True, 1, None, ())
         with pytest.raises(ValueError, match="got degree 1"):
             build_report(rec)
+
+
+def milnor_tail(f):
+    """milnor_dim at T, T + 1 and T + 2, T = 3(d - 2), from ranks of the
+    Jacobian pieces of a freshly parsed copy of f."""
+    g = parse(str(f))
+    t = 3 * (g.degree - 2)
+    return [milnor_dim(g, k) for k in (t, t + 1, t + 2)]
+
+
+class TestTauFromOneDegree:
+    """tau reads milnor_dim at T + 1 only.  The theorem behind that, that
+    a reduced curve's Milnor algebra has dimension tau in every degree from
+    T = 3(d - 2) on (a smooth curve's: 1, 0, 0), is checked here with the
+    ranks at T, T + 1 and T + 2."""
+
+    @staticmethod
+    def check(f):
+        t = tau(parse(str(f)))
+        assert milnor_tail(f) == ([1, 0, 0] if t == 0 else [t, t, t])
+        return t
+
+    @pytest.mark.parametrize("name", [rec.name for rec in catalog()])
+    def test_catalog(self, name):
+        rec = lookup(name)
+        assert self.check(rec.f) == rec.expected["tau"]
+
+    def test_ladder_septic(self):
+        assert self.check(line_product(LADDER_LINES[:7])) > 0
+
+    @given(hpolys(min_degree=2, max_degree=6))
+    @settings(max_examples=25, deadline=None)
+    def test_random_reduced_curves(self, f):
+        assume(gcd_many(partials(f)).degree == 0)
+        self.check(f)
+
+
+class TestNotReduced:
+    @pytest.mark.parametrize("text, factor", [
+        ("x^2*y", "x"), ("x^3", "x^2"),
+        ("(x^2 + y^2 + z^2)^2*(x + y + z)^3*y",
+         str(gcd_many([parse("(x^2 + y^2 + z^2)*(x + y + z)^2")])))])
+    def test_probe_raises_naming_degree_and_factor(self, text, factor):
+        f = parse(text)
+        start = time.perf_counter()
+        with pytest.raises(NotReduced) as info:
+            tau(f)
+        assert time.perf_counter() - start < 1
+        assert str(info.value).startswith("curve of degree %d " % f.degree)
+        assert str(info.value).endswith("share the factor %s" % factor)
+
+    def test_cone_retries_the_next_pair(self):
+        # f_y + 7 f_z vanishes, so the first pair (3, 7) is skipped
+        f = parse("x^3 - (7*y - z)^3")
+        fx, fy, fz = partials(f)
+        assert (fy + fz * 7).is_zero()
+        assert tau(f) == 4
+        assert _results(f)[("reduced", 3)] == (5, 2)
+
+    def test_failed_pairs_alone_never_reject(self, monkeypatch):
+        monkeypatch.setattr(syzcurve.syzygy, "_CERTIFICATE_PAIRS", ((3, 7),))
+        f = parse("x^3 - (7*y - z)^3")
+        assert tau(f) == 4
+        assert _results(f)[("reduced", 3)] is None
+
+    def test_certificate_is_kept_on_the_polynomial(self, monkeypatch):
+        f = parse("y^2*z - x^2*(x + z)")
+        assert tau(f) == 1
+
+        def refuse(g, k):
+            raise AssertionError("mult_matrix(%s, %d) built" % (g, k))
+        monkeypatch.setattr(syzcurve.syzygy, "mult_matrix", refuse)
+        assert tau(f) == 1
 
 
 class TestSaturation:
