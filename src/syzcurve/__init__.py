@@ -29,8 +29,7 @@ from .syzygy import (DegreeMismatch, KoszulMismatch, NotReduced,
                      defect, er_dim, gradient_matrix, h0m_dim,
                      h0m_mult_kernel, jacobian_dim, jacobian_span_equal,
                      koszul_dim, mdr, milnor_dim, sat_basis,
-                     sat_dim_iterative, saturation_dim, smooth_milnor_dim,
-                     tau)
+                     saturation_dim, smooth_milnor_dim, tau)
 from .torelli import (DimensionObstruction, LinearSystem, NotNodalCurve,
                       TangentNotThroughPoint, TorelliVerdict,
                       WrongSingularityTypes, base_locus_zero_dim,

@@ -113,9 +113,14 @@ class QMatrix:
 
 def _integer_rows(rows) -> list:
     """Each rational row scaled by the lcm of its denominators to integers
-    (row scaling preserves rank and kernel)."""
+    (row scaling preserves rank and kernel).  A row whose entries are all
+    ints, as Jacobian rows and integer kernels are, is taken as it is, not
+    copied."""
     out = []
     for row in rows:
+        if set(map(type, row)) <= {int}:
+            out.append(row)
+            continue
         den = 1
         for v in row:
             d = v.denominator

@@ -108,11 +108,15 @@ def freeness(f: HPoly) -> FreenessVerdict:
     """Decide whether the curve is free.
 
     Primary method: the curve is free iff the saturation defect module
-    vanishes in every degree of its support window 0..3(d-2); the window is
-    scanned middle-out since a nonzero defect, if any, appears near the
-    middle.  Cross-check: freeness is equivalent to r*(d-1-r) = (d-1)^2 - tau
-    for r the minimal relation degree with 2r <= d-1.  The verdict is driven
-    by the primary method; disagreement is recorded, not raised.
+    vanishes in every degree of its support window 0..T, T = 3(d-2).  The
+    module is self-dual, h0m(k) = h0m(T - k) (see h0m_dim), so only the
+    lower half is scanned, from floor(T/2) down to 0, since a nonzero
+    defect, if any, appears near the middle.  The witness degree is the
+    first nonzero degree of that scan: the nonzero degree k <= T/2 nearest
+    the middle, whose mirror T - k is nonzero too.  Cross-check: freeness
+    is equivalent to r*(d-1-r) = (d-1)^2 - tau for r the minimal relation
+    degree with 2r <= d-1.  The verdict is driven by the primary method;
+    disagreement is recorded, not raised.
 
     tau itself is checked against the bounds of du Plessis and Wall: with
     r = min(mdr, d - 1) (mdr counts only non-Koszul relations, so it can
@@ -122,9 +126,8 @@ def freeness(f: HPoly) -> FreenessVerdict:
     """
     d = f.degree
     top = 3 * (d - 2)
-    ks = sorted(range(0, top + 1), key=lambda k: (abs(2 * k - top), k))
     witness = None
-    for k in ks:
+    for k in range(top // 2, -1, -1):
         if h0m_dim(f, k) != 0:
             witness = k
             break

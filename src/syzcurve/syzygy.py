@@ -28,7 +28,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .exactlin import QMatrix, integer_kernel, kernel_basis, rank
-from .polygcd import gcd_many
+from .polygcd import exact_quotient, gcd_many
 from .ring3 import (HPoly, Mono, dim_graded, mono_basis, _basis_index,
                     mult_matrix, partials)
 
@@ -255,8 +255,7 @@ _CERTIFICATE_PAIRS = ((3, 7), (5, 2), (1, 11))
 
 
 def _certify_reduced(f: HPoly) -> None:
-    """Prove f reduced, or raise NotReduced naming the factor its partials
-    share.
+    """Prove f reduced, or raise NotReduced naming its repeated components.
 
     A repeated factor of f divides every partial.  For g1 = f_x + a f_z and
     g2 = f_y + b f_z, both nonzero, the map (p, q) -> p g1 + q g2 from
@@ -266,6 +265,10 @@ def _certify_reduced(f: HPoly) -> None:
     characteristic 0, f is reduced iff it is constant.  A failed pair alone
     never rejects f.  Keeps the certifying pair on f, or None when the gcd
     decided.
+
+    When f = prod p_i^e_i, the gcd g of the partials is prod p_i^(e_i - 1),
+    so g divided by the gcd of g and its own partials is the product of
+    the repeated components p_i, which is what NotReduced names.
     """
     results = _results(f)
     key = ("reduced", 2 * f.degree - 3)
@@ -285,9 +288,11 @@ def _certify_reduced(f: HPoly) -> None:
             return
     common = gcd_many((fx, fy, fz))
     if common.degree > 0:
+        repeated = exact_quotient(
+            common, gcd_many((common, *partials(common))))
         raise NotReduced(
-            "curve of degree %d is not reduced: its partial derivatives "
-            "share the factor %s" % (f.degree, common))
+            "curve of degree %d is not reduced: it repeats the factor %s"
+            % (f.degree, repeated))
     results[key] = None
 
 
@@ -376,7 +381,20 @@ def saturation_dim(f: HPoly, k: int) -> int:
 
 def h0m_dim(f: HPoly, k: int) -> int:
     """Dimension of the degree-k piece of (saturation / Jacobian ideal),
-    the torsion that obstructs freeness."""
+    the torsion that obstructs freeness.
+
+    For a reduced curve this module is self-dual about T/2, T = 3(d-2):
+    h0m(k) = h0m(T - k) (Sernesi 2014; van Straten and Warmt 2015).  So
+    for T/2 < k <= T the value is read from degree T - k, behind
+    _certify_reduced (NotReduced for input that is not reduced), and no
+    wide saturation kernel of the upper half is eliminated.  Every other
+    degree is saturation_dim(f, k) minus jacobian_dim(f, k);
+    saturation_dim and sat_basis stay direct at every k.
+    """
+    top = 3 * (f.degree - 2)
+    if top < 2 * k <= 2 * top:
+        _certify_reduced(f)
+        return h0m_dim(f, top - k)
     val = saturation_dim(f, k) - jacobian_dim(f, k)
     if val < 0:
         raise RelationViolated("saturation smaller than ideal at k=%d" % k)
@@ -423,36 +441,3 @@ def h0m_mult_kernel(f: HPoly, g: HPoly, m: int) -> int:
     mat = QMatrix.from_columns(cols)
     kdim = len(kernel_basis(mat))
     return kdim - jacobian_dim(f, m)
-
-
-def sat_dim_iterative(f: HPoly, k: int, plateau: int = 2) -> int:
-    """Saturation dimension via the increasing union over N of
-    {g : g * (every degree-N monomial) lies in the ideal}.
-
-    Stops when `plateau` + 1 consecutive N give equal dimension or when N
-    reaches the provable cutoff.  Kept as a cross-check for the direct
-    computation in sat_basis; the plateau rule alone can stop too early on
-    curves whose saturation fills in only at high N.
-    """
-    d = f.degree
-    cutoff = max(1, 3 * (d - 2) + 1 - k)
-    nk = dim_graded(k)
-    dims = []
-    for n in range(1, cutoff + 1):
-        t = k + n
-        lker = _jac_left_kernel(f, t)
-        if not lker:
-            dims.append(nk)
-        else:
-            rows = []
-            idx = _basis_index(t)
-            for u in mono_basis(n):
-                shift = []
-                for mm in mono_basis(k):
-                    shift.append(idx[Mono(mm.ex + u.ex, mm.ey + u.ey, mm.ez + u.ez)])
-                for l in lker:
-                    rows.append([l[s] for s in shift])
-            dims.append(nk - rank(QMatrix.from_rows(rows)))
-        if len(dims) > plateau and all(v == dims[-1] for v in dims[-plateau - 1:]):
-            break
-    return dims[-1]

@@ -231,6 +231,43 @@ class TestIntegerKernel:
         assert len(ker) == 36
 
 
+class TestIntegerInput:
+    """Rows of ints enter the elimination as they are.  Rank and both
+    kernels equal those of Fraction copies of the same matrix: one with
+    equal entries, one with each row divided by its own integer, and one
+    that mixes int and Fraction rows."""
+
+    @staticmethod
+    def check(ints):
+        assert all(type(v) is int for v in ints.entries)
+        n = ints.cols
+        rows = ints.row_lists()
+        copies = [
+            QMatrix.from_rows([[F(v) for v in row] for row in rows]),
+            QMatrix.from_rows([[F(v, i + 2) for v in row]
+                               for i, row in enumerate(rows)]),
+            QMatrix.from_rows([[F(v) for v in row] if i % 2 else row
+                               for i, row in enumerate(rows)])]
+        want = (rank(ints), kernel_basis(ints), integer_kernel(ints))
+        for other in copies:
+            assert other.cols == n
+            assert (rank(other), kernel_basis(other),
+                    integer_kernel(other)) == want
+        return want
+
+    @given(qmatrices(max_dim=8))
+    @settings(max_examples=100)
+    def test_small(self, m):
+        ints = QMatrix(m.rows, m.cols, [int(v) for v in m.entries])
+        assert self.check(ints)[1] == reference_kernel(m)
+
+    def test_ladder_sextic_jacobian_rows(self):
+        # the Jacobian rows at T + 1 = 13, an integer matrix as built; the
+        # kernel has dimension tau = C(6, 2) nodes
+        m = jacobian_rows(line_product(LADDER_LINES[:6]), 13)
+        assert len(self.check(m)[2]) == 15
+
+
 class TestSpanAndSolve:
     def test_in_span_true(self):
         # the two columns span a plane inside Q^3

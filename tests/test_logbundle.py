@@ -7,8 +7,8 @@ import pytest
 import syzcurve.logbundle
 from syzcurve import (NotNodal, RelationViolated, ar_dim, dim_graded, freeness,
                       genus_sum_check, h0_tangent, h1_tangent, h2_tangent,
-                      h0m_dim, is_stable, mdr, numerics, parse,
-                      stability_sufficient, tau)
+                      h0m_dim, is_stable, linear_change, mdr, numerics,
+                      parse, stability_sufficient, tau)
 from syzcurve.curvecat import catalog, lookup
 
 F = Fraction
@@ -166,6 +166,20 @@ class TestFreeness:
         f = lookup("one_node_quartic").f
         assert mdr(f) == 4 and tau(f) == 1
         assert not freeness(f).free
+
+    def test_free_arrangement_in_general_coordinates(self):
+        # x y z (x^2 - y^2)(y^2 - z^2) is free with exponents (3, 3); a
+        # coordinate change moves every line off the coordinate axes and
+        # keeps every invariant
+        f = parse("x*y*z*(x^2 - y^2)*(y^2 - z^2)")
+        g = linear_change(f, [[1, 2, 3], [0, 1, 5], [1, 0, 1]])
+        assert g != f and g.degree == 7
+        profiles = []
+        for h in (f, g):
+            v = freeness(h)
+            profiles.append((tau(h), mdr(h), v.free, v.exponents,
+                             [h0m_dim(h, k) for k in range(16)]))
+        assert profiles[0] == profiles[1] == (27, 3, True, (3, 3), [0] * 16)
 
     def test_stable_never_free(self):
         for rec in catalog():

@@ -1,6 +1,7 @@
 """Graded syzygy invariants of the Jacobian ideal: relation modules, the
 minimal relation degree, coincidence threshold, Tjurina number, saturation,
 and defect dimensions."""
+import functools
 import time
 from fractions import Fraction
 
@@ -8,16 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 
 import syzcurve.syzygy
-from syzcurve import (CurveRecord, NotReduced, ar_basis, ar_dim, build_report, catalog,
-                      ct, defect, dim_graded, er_dim, gcd_many,
-                      gradient_matrix, h0m_dim, h0m_mult_kernel,
-                      jacobian_dim, jacobian_span_equal, kernel_basis,
-                      koszul_dim, mdr, milnor_dim, parse, rank, sat_basis,
-                      sat_dim_iterative, saturation_dim, smooth_milnor_dim,
-                      tau)
+from syzcurve import (CurveRecord, NotReduced, QMatrix, ar_basis, ar_dim,
+                      build_report, catalog, ct, defect, dim_graded, er_dim,
+                      freeness, gcd_many, gradient_matrix, h0m_dim,
+                      h0m_mult_kernel, jacobian_dim, jacobian_span_equal,
+                      kernel_basis, koszul_dim, mdr, milnor_dim, mono_basis,
+                      parse, rank, sat_basis, saturation_dim,
+                      smooth_milnor_dim, table_values, tau)
 from syzcurve.curvecat import lookup, non_ts_family
-from syzcurve.ring3 import partials
-from syzcurve.syzygy import _results, jacobian_rows
+from syzcurve.ring3 import Mono, _basis_index, partials
+from syzcurve.syzygy import _jac_left_kernel, _results, jacobian_rows
 
 from conftest import LADDER_LINES, hpolys, line_product
 
@@ -228,10 +229,11 @@ class TestTauFromOneDegree:
 
 
 class TestNotReduced:
+    # the factor named is the product of the repeated components
     @pytest.mark.parametrize("text, factor", [
-        ("x^2*y", "x"), ("x^3", "x^2"),
+        ("x^2*y", "x"), ("x^3", "x"),
         ("(x^2 + y^2 + z^2)^2*(x + y + z)^3*y",
-         str(gcd_many([parse("(x^2 + y^2 + z^2)*(x + y + z)^2")])))])
+         str(parse("(x^2 + y^2 + z^2)*(x + y + z)")))])
     def test_probe_raises_naming_degree_and_factor(self, text, factor):
         f = parse(text)
         start = time.perf_counter()
@@ -239,7 +241,15 @@ class TestNotReduced:
             tau(f)
         assert time.perf_counter() - start < 1
         assert str(info.value).startswith("curve of degree %d " % f.degree)
-        assert str(info.value).endswith("share the factor %s" % factor)
+        assert str(info.value).endswith("repeats the factor %s" % factor)
+
+    def test_mirror_degrees_refuse_non_reduced_input(self):
+        # h0m self-duality needs a reduced curve, so no mirrored value is
+        # returned; the lower half and degrees past T stay direct
+        f = parse("x^2*y*z")
+        with pytest.raises(NotReduced, match="repeats the factor x$"):
+            h0m_dim(f, 4)
+        assert h0m_dim(f, 0) >= 0 and h0m_dim(f, 7) >= 0
 
     def test_cone_retries_the_next_pair(self):
         # f_y + 7 f_z vanishes, so the first pair (3, 7) is skipped
@@ -263,6 +273,39 @@ class TestNotReduced:
             raise AssertionError("mult_matrix(%s, %d) built" % (g, k))
         monkeypatch.setattr(syzcurve.syzygy, "mult_matrix", refuse)
         assert tau(f) == 1
+
+
+def sat_dim_iterative(f, k, plateau=2):
+    """Saturation dimension via the increasing union over N of
+    {g : g * (every degree-N monomial) lies in the ideal}.
+
+    Stops when `plateau` + 1 consecutive N give equal dimension or when N
+    reaches the provable cutoff.  A cross-check for the direct computation
+    in sat_basis; the plateau rule alone can stop too early on curves whose
+    saturation fills in only at high N.
+    """
+    d = f.degree
+    cutoff = max(1, 3 * (d - 2) + 1 - k)
+    nk = dim_graded(k)
+    dims = []
+    for n in range(1, cutoff + 1):
+        t = k + n
+        lker = _jac_left_kernel(f, t)
+        if not lker:
+            dims.append(nk)
+        else:
+            rows = []
+            idx = _basis_index(t)
+            for u in mono_basis(n):
+                shift = []
+                for mm in mono_basis(k):
+                    shift.append(idx[Mono(mm.ex + u.ex, mm.ey + u.ey, mm.ez + u.ez)])
+                for l in lker:
+                    rows.append([l[s] for s in shift])
+            dims.append(nk - rank(QMatrix.from_rows(rows)))
+        if len(dims) > plateau and all(v == dims[-1] for v in dims[-plateau - 1:]):
+            break
+    return dims[-1]
 
 
 class TestSaturation:
@@ -308,24 +351,82 @@ class TestSaturation:
                 assert defect(f, k) >= 0
 
 
+SELF_DUAL_CURVES = ([rec.name for rec in catalog() if rec.degree <= 8]
+                    + ["ladder_septic"])
+
+
+def self_dual_curve(name):
+    if name == "ladder_septic":
+        return line_product(LADDER_LINES[:7])
+    return lookup(name).f
+
+
+@functools.cache
+def direct_h0m_row(name):
+    """h0m over 0..T, T = 3(d - 2), every degree from its own saturation
+    kernel (sat_basis) and Jacobian rank, on a freshly parsed copy."""
+    g = parse(str(self_dual_curve(name)))
+    return tuple(len(sat_basis(g, k)) - jacobian_dim(g, k)
+                 for k in range(3 * (g.degree - 2) + 1))
+
+
+def middle_out_freeness(name):
+    """The freeness scan over the whole window 0..T, middle-out, on direct
+    h0m values: (free, exponents, witness_degree)."""
+    row = direct_h0m_row(name)
+    top = len(row) - 1
+    witness = next((k for k in sorted(range(top + 1),
+                                      key=lambda k: (abs(2 * k - top), k))
+                    if row[k]), None)
+    f = self_dual_curve(name)
+    r = mdr(f)
+    free = witness is None
+    exponents = (r, f.degree - 1 - r) if free and r is not None else None
+    return free, exponents, witness
+
+
 class TestSelfDuality:
     """The defect module sat(J)/J is self-dual about T/2, T = 3(d - 2)
-    (Sernesi 2014): h0m_dim(f, k) == h0m_dim(f, T - k) for 0 <= k <= T."""
+    (Sernesi 2014): h0m(k) == h0m(T - k) for 0 <= k <= T.  h0m_dim reads
+    the upper half off the lower one, so both sides are computed directly
+    here, and h0m_dim must give the same row."""
 
     @staticmethod
-    def h0m_row(f):
-        return [h0m_dim(f, k) for k in range(3 * (f.degree - 2) + 1)]
+    def check(name):
+        row = direct_h0m_row(name)
+        assert row == row[::-1]
+        f = self_dual_curve(name)
+        assert tuple(h0m_dim(f, k) for k in range(len(row))) == row
+        return row
 
     @pytest.mark.parametrize(
         "name", [rec.name for rec in catalog() if rec.degree <= 8])
     def test_catalog(self, name):
-        row = self.h0m_row(lookup(name).f)
-        assert row == row[::-1]
+        self.check(name)
 
     def test_ladder_septic(self):
-        row = self.h0m_row(line_product(LADDER_LINES[:7]))
-        assert row == row[::-1]
-        assert sum(row) > 0
+        assert sum(self.check("ladder_septic")) > 0
+
+    @pytest.mark.parametrize("name", SELF_DUAL_CURVES)
+    def test_no_saturation_kernel_above_the_middle(self, name, monkeypatch):
+        f = parse(str(self_dual_curve(name)))
+        top = 3 * (f.degree - 2)
+        seen = []
+        direct = syzcurve.syzygy.sat_basis
+
+        def spy(g, k):
+            seen.append(k)
+            return direct(g, k)
+        monkeypatch.setattr(syzcurve.syzygy, "sat_basis", spy)
+        freeness(f)
+        table_values(f, "h1", -3, f.degree)
+        assert seen and max(seen) <= top // 2
+
+    @pytest.mark.parametrize("name", SELF_DUAL_CURVES)
+    def test_half_scan_matches_full_middle_out_scan(self, name):
+        v = freeness(parse(str(self_dual_curve(name))))
+        assert ((v.free, v.exponents, v.witness_degree)
+                == middle_out_freeness(name))
 
 
 class TestSpanAndMultiplication:
