@@ -24,17 +24,15 @@ from .singcat import (Check, DeclaredSing, NonConvenient, SingType,
                       SmoothCurve, VerificationReport, alpha_curve,
                       arnold_exponent, kouchnirenko_mu, local_numbers,
                       verify_declared)
-from .syzygy import (DegreeMismatch, KoszulMismatch, NotReduced,
-                     RelationViolated, SyzygyTriple, ar_basis, ar_dim, ct,
-                     defect, er_dim, gradient_matrix, h0m_dim,
-                     h0m_mult_kernel, jacobian_dim, jacobian_span_equal,
-                     koszul_dim, mdr, milnor_dim, sat_basis,
-                     saturation_dim, smooth_milnor_dim, tau)
+from .syzygy import (KoszulMismatch, NotReduced, RelationViolated,
+                     SyzygyTriple, ar_basis, ar_dim, ct, defect, er_dim,
+                     gradient_matrix, h0m_dim, jacobian_dim, koszul_dim, mdr,
+                     milnor_dim, sat_basis, saturation_dim,
+                     smooth_milnor_dim, tau)
 from .torelli import (DimensionObstruction, LinearSystem, NotNodalCurve,
                       TangentNotThroughPoint, TorelliVerdict,
                       WrongSingularityTypes, base_locus_zero_dim,
-                      dimension_obstruction, jacobian_membership,
-                      syzygy_growth_delta, linear_system_cusps,
+                      dimension_obstruction, linear_system_cusps,
                       linear_system_points, moduli_dim, severi_dim,
                       torelli_cuspidal, torelli_nodal, torelli_nodal_count)
 

@@ -1,207 +1,80 @@
 """Greatest common divisors of homogeneous polynomials in Q[x, y, z].
 
-Strategy: split off the common monomial factor, dehomogenize with respect to
-z (valid because the remaining parts are divisible by no single variable),
-and compute a bivariate gcd in Q[x, y] by primitive pseudo-remainder
-sequences in (Q[y])[x].  Homogenizing the bivariate result and restoring the
-monomial factor gives the gcd; it is returned with leading coefficient 1 in
-the canonical monomial order.
+Strategy: gcd(g, h) is read off the Sylvester-type map
+(p, q) -> p h + q g (Cox, Little and O'Shea, Ideals, Varieties, and
+Algorithms, ch. 3 sec. 6).  If G = gcd(g, h) has degree e, the pairs with
+p h + q g = 0 landing in degree t are exactly p = r g / G, q = -r h / G
+with r of degree t - deg g - deg h + e.  So one rank in degree
+deg g + deg h - 1 gives e (the rank defect is dim S_{e-1}, zero exactly
+when g and h are coprime).  When e = deg h, h itself is the gcd;
+otherwise in degree deg g + deg h - e the kernel is a single pair, whose p
+is g / G up to a scalar, and G is the exact quotient.
+The rows of the map are integer rows u g and u h against the monomial
+basis, the same exact linear algebra as everywhere else in the package.
+The gcd is returned with leading coefficient 1 in the canonical monomial
+order.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
-from .exactlin import in_span, solve
-from .ring3 import HPoly, Mono, mult_matrix
+from .exactlin import QMatrix, in_span, integer_kernel, rank, solve
+from .ring3 import HPoly, _basis_index, dim_graded, mono_basis, mult_matrix
 
 
 class AllZero(ValueError):
     """gcd of an empty or all-zero family is undefined."""
 
 
-# -- univariate polynomials over Q: dense coefficient lists, index = power --
-
-def _u_trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _u_is_zero(p: list) -> bool:
-    return not p
-
-
-def _u_mul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _u_trim(out)
+def product_rows(polys, t: int) -> QMatrix:
+    """Integer rows u * g against mono_basis(t): for each g in polys in
+    turn, one row per u in mono_basis(t - deg g).  Each g is scaled to
+    integers once, by the lcm of its denominators, which changes no rank
+    and scales each block of a left kernel vector by a constant."""
+    idx = _basis_index(t)
+    ncols = len(idx)
+    flat: list = []
+    nrows = 0
+    for g in polys:
+        scale = lcm(*(c.denominator for c in g.terms.values()))
+        terms = [(m, int(c * scale)) for m, c in g.terms.items()]
+        for u in mono_basis(t - g.degree):
+            row = [0] * ncols
+            for m, c in terms:
+                row[idx[u * m]] = c
+            flat.extend(row)
+            nrows += 1
+    return QMatrix(nrows, ncols, flat)
 
 
-def _u_divmod(p: list, q: list) -> tuple:
-    if _u_is_zero(q):
-        raise ZeroDivisionError("univariate division by zero")
-    r = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    while len(r) >= len(q):
-        c = r[-1] / lead
-        k = len(r) - len(q)
-        quo[k] = c
-        for i, b in enumerate(q):
-            r[k + i] -= c * b
-        _u_trim(r)
-        if not r:
-            break
-    return quo, r
+def common_degree(g: HPoly, h: HPoly) -> int:
+    """Degree of gcd(g, h) for nonzero forms of positive degree, from one
+    rank: the rows u h and v g of degree deg g + deg h - 1 have the rank
+    defect dim S_{e-1} when e = deg gcd(g, h), so 0 means coprime."""
+    m = product_rows((h, g), g.degree + h.degree - 1)
+    defect = m.rows - rank(m)
+    e = 0
+    while dim_graded(e - 1) < defect:
+        e += 1
+    return e
 
 
-def _u_gcd(p: list, q: list) -> list:
-    p, q = _u_trim(list(p)), _u_trim(list(q))
-    while q:
-        p, q = q, _u_divmod(p, q)[1]
-    if not p:
-        return []
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-# -- bivariate polynomials Q[x, y]: list over x-power of univariate-in-y --
-
-def _b_trim(p: list) -> list:
-    while p and _u_is_zero(p[-1]):
-        p.pop()
-    return p
-
-
-def _b_content(p: list) -> list:
-    g: list = []
-    for c in p:
-        if not _u_is_zero(c):
-            g = _u_gcd(g, c)
-            if len(g) == 1:
-                return g
-    return g
-
-
-def _b_scale(p: list, u: list) -> list:
-    return _b_trim([_u_mul(c, u) for c in p])
-
-
-def _b_divide_content(p: list, cont: list) -> list:
-    out = []
-    for c in p:
-        quo, rem = _u_divmod(c, cont)
-        if not _u_is_zero(rem):
-            raise ArithmeticError("content division not exact")
-        out.append(quo)
-    return _b_trim(out)
-
-
-def _b_prem(p: list, q: list) -> list:
-    """Pseudo-remainder of p by q in (Q[y])[x]."""
-    r = _b_trim([list(c) for c in p])
-    dq = len(q) - 1
-    lead = q[-1]
-    while r and len(r) - 1 >= dq:
-        k = len(r) - 1 - dq
-        top = r[-1]
-        # r <- lead*r - top*x^k*q; the top x-coefficient cancels exactly
-        r = [_u_mul(c, lead) for c in r]
-        for i, qc in enumerate(q):
-            delta = _u_mul(qc, top)
-            tgt = r[k + i]
-            tgt = tgt + [Fraction(0)] * (len(delta) - len(tgt))
-            for j, v in enumerate(delta):
-                tgt[j] -= v
-            r[k + i] = _u_trim(tgt)
-        r = _b_trim(r)
-    return r
-
-
-def _b_primitive(p: list) -> list:
-    p = _b_trim(p)
-    if not p:
-        return p
-    cont = _b_content(p)
-    return _b_divide_content(p, cont)
-
-
-def _b_gcd(p: list, q: list) -> list:
-    """Gcd in Q[x, y]; result is primitive in (Q[y])[x]."""
-    p, q = _b_trim([list(c) for c in p]), _b_trim([list(c) for c in q])
-    if not p:
-        return _b_primitive(q)
-    if not q:
-        return _b_primitive(p)
-    cont = _u_gcd(_b_content(p), _b_content(q))
-    a, b = _b_primitive(p), _b_primitive(q)
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        if len(b) == 1:
-            # degree 0 in x and primitive: unit in (Q[y])[x]
-            g = [[Fraction(1)]]
-            break
-        r = _b_prem(a, b)
-        if not r:
-            g = b
-            break
-        a, b = b, _b_primitive(r)
-    return _b_scale(g, cont)
-
-
-# -- bridge between homogeneous 3-variable and bivariate representations --
-
-def _mono_min(f: HPoly) -> Mono:
-    ex = min(m.ex for m in f.terms)
-    ey = min(m.ey for m in f.terms)
-    ez = min(m.ez for m in f.terms)
-    return Mono(ex, ey, ez)
-
-
-def _dehomogenize(f: HPoly) -> list:
-    """f(x, y, 1) as an element of Q[x, y]; assumes z does not divide f."""
-    dx = max(m.ex for m in f.terms)
-    p: list = [[] for _ in range(dx + 1)]
-    for m, c in f.terms.items():
-        col = p[m.ex]
-        if len(col) <= m.ey:
-            col += [Fraction(0)] * (m.ey + 1 - len(col))
-        col[m.ey] += c
-    return _b_trim([_u_trim(c) for c in p])
-
-
-def _homogenize(p: list) -> HPoly:
-    deg = 0
-    for i, c in enumerate(p):
-        for j, v in enumerate(c):
-            if v:
-                deg = max(deg, i + j)
-    terms = {}
-    for i, c in enumerate(p):
-        for j, v in enumerate(c):
-            if v:
-                terms[Mono(i, j, deg - i - j)] = v
-    return HPoly(deg, terms)
-
-
-def _gcd_pair(f: HPoly, g: HPoly) -> HPoly:
-    mf, mg = _mono_min(f), _mono_min(g)
-    common = Mono(min(mf.ex, mg.ex), min(mf.ey, mg.ey), min(mf.ez, mg.ez))
-    f1 = HPoly(f.degree - mf.degree,
-               {Mono(m.ex - mf.ex, m.ey - mf.ey, m.ez - mf.ez): c
-                for m, c in f.terms.items()})
-    g1 = HPoly(g.degree - mg.degree,
-               {Mono(m.ex - mg.ex, m.ey - mg.ey, m.ez - mg.ez): c
-                for m, c in g.terms.items()})
-    core = _homogenize(_b_gcd(_dehomogenize(f1), _dehomogenize(g1)))
-    return HPoly.monomial(common) * core
+def _gcd_pair(g: HPoly, h: HPoly) -> HPoly:
+    if g.degree < h.degree:
+        g, h = h, g
+    if h.degree == 0:
+        return HPoly.constant(1)
+    e = common_degree(g, h)
+    if e == 0:
+        return HPoly.constant(1)
+    if e == h.degree:
+        return h  # h divides g
+    # the single kernel pair (p, q) in degree deg g + deg h - e has
+    # p = g / gcd up to a scalar, in the rows of h
+    (vec,) = integer_kernel(
+        product_rows((h, g), g.degree + h.degree - e).transpose())
+    p = HPoly.from_coeff_vector(g.degree - e, vec[:dim_graded(g.degree - e)])
+    return exact_quotient(g, p)
 
 
 def gcd_many(polys) -> HPoly:

@@ -23,12 +23,11 @@ saturation dimensions are kept on the polynomial itself, keyed by
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
 from .exactlin import QMatrix, integer_kernel, kernel_basis, rank
-from .polygcd import exact_quotient, gcd_many
+from .polygcd import common_degree, exact_quotient, gcd_many
 from .ring3 import (HPoly, Mono, dim_graded, mono_basis, _basis_index,
                     mult_matrix, partials)
 
@@ -43,10 +42,6 @@ class RelationViolated(ArithmeticError):
 
 class NotReduced(ValueError):
     """The curve has a repeated component, so its invariants are undefined."""
-
-
-class DegreeMismatch(ValueError):
-    """Operands have incompatible degrees."""
 
 
 class SyzygyTriple(NamedTuple):
@@ -260,7 +255,8 @@ def _certify_reduced(f: HPoly) -> None:
     A repeated factor of f divides every partial.  For g1 = f_x + a f_z and
     g2 = f_y + b f_z, both nonzero, the map (p, q) -> p g1 + q g2 from
     S_{d-2}^2 to S_{2d-3} is injective exactly when g1 and g2 are coprime,
-    which leaves the partials no common factor; that is one rank per pair.
+    which leaves the partials no common factor; that is one rank per pair,
+    polygcd.common_degree(g1, g2) == 0.
     Only when every pair fails is the gcd of the partials computed: in
     characteristic 0, f is reduced iff it is constant.  A failed pair alone
     never rejects f.  Keeps the certifying pair on f, or None when the gcd
@@ -274,16 +270,12 @@ def _certify_reduced(f: HPoly) -> None:
     key = ("reduced", 2 * f.degree - 3)
     if key in results:
         return
-    k = f.degree - 2
     fx, fy, fz = partials(f)
     for a, b in _CERTIFICATE_PAIRS:
         g1, g2 = fx + fz * a, fy + fz * b
         if g1.is_zero() or g2.is_zero():
             continue
-        # one row per product u * g1 and u * g2, deg u = d - 2
-        top, bottom = (mult_matrix(g, k).transpose() for g in (g1, g2))
-        m = QMatrix(2 * top.rows, top.cols, top.entries + bottom.entries)
-        if rank(m) == m.rows:
+        if common_degree(g1, g2) == 0:
             results[key] = (a, b)
             return
     common = gcd_many((fx, fy, fz))
@@ -403,41 +395,7 @@ def h0m_dim(f: HPoly, k: int) -> int:
 
 def defect(f: HPoly, k: int) -> int:
     """tau(f) minus the number of conditions the singular subscheme imposes
-    on forms of degree k."""
-    return tau(f) - (dim_graded(k) - saturation_dim(f, k))
-
-
-def jacobian_span_equal(f: HPoly, g: HPoly) -> bool:
-    """Whether f and g have the same span of partial derivatives."""
-    if f.degree != g.degree:
-        raise DegreeMismatch("degrees %d and %d" % (f.degree, g.degree))
-    cols_f = [p.coeff_vector() for p in partials(f)]
-    cols_g = [p.coeff_vector() for p in partials(g)]
-    rf = rank(QMatrix.from_columns(cols_f))
-    rg = rank(QMatrix.from_columns(cols_g))
-    rboth = rank(QMatrix.from_columns(cols_f + cols_g))
-    return rf == rg == rboth
-
-
-def h0m_mult_kernel(f: HPoly, g: HPoly, m: int) -> int:
-    """Kernel dimension of multiplication by g from the degree-m piece of
-    (saturation / ideal) to the degree m + deg g piece."""
-    basis = sat_basis(f, m)
-    if not basis:
-        return 0
-    t = m + g.degree
-    lker = _jac_left_kernel(f, t)
-    if not lker:
-        return len(basis) - jacobian_dim(f, m)
-    idx = _basis_index(t)
-    cols = []
-    for b in basis:
-        prod = g * b
-        vec = [Fraction(0)] * dim_graded(t)
-        for mono, c in prod.terms.items():
-            vec[idx[mono]] = c
-        cols.append([sum(Fraction(li) * vi for li, vi in zip(l, vec) if li and vi)
-                     for l in lker])
-    mat = QMatrix.from_columns(cols)
-    kdim = len(kernel_basis(mat))
-    return kdim - jacobian_dim(f, m)
+    on forms of degree k: tau - (dim S_k - saturation_dim(f, k)), read as
+    tau - milnor_dim(f, k) + h0m_dim(f, k) so that degrees above T/2 reach
+    the self-dual mirror of h0m_dim instead of a saturation kernel."""
+    return tau(f) - milnor_dim(f, k) + h0m_dim(f, k)

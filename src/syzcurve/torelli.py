@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactlin import QMatrix, kernel_basis, in_span
+from .exactlin import QMatrix, kernel_basis
 from .polygcd import gcd_many
 from .ring3 import HPoly, ProjPoint, eval_at, mono_basis, partials
-from .syzygy import DegreeMismatch, ar_dim, gradient_matrix
 
 
 class NotNodalCurve(ValueError):
@@ -269,20 +268,3 @@ def dimension_obstruction(d: int, n: int, kappa: int) -> Optional[DimensionObstr
             "curve family has dimension %d but the bundle family only %d; "
             "members of the family share bundles" % (sv, md))
     return None
-
-
-def syzygy_growth_delta(f: HPoly, k: int) -> int:
-    """Difference of syzygy dimensions one degree up versus d-2 degrees
-    down; the quantity controlled by the recovery arguments."""
-    return ar_dim(f, k + 1) - ar_dim(f, k - f.degree + 2)
-
-
-def jacobian_membership(f: HPoly, g: HPoly) -> bool:
-    """Is the degree-(d-1) form g a constant linear combination of the
-    three partial derivatives of f?"""
-    if not g.is_zero() and g.degree != f.degree - 1:
-        raise DegreeMismatch("expected degree %d, got %d"
-                             % (f.degree - 1, g.degree))
-    if g.is_zero():
-        return True
-    return in_span(g.coeff_vector(), gradient_matrix(f, 0))

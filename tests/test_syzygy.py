@@ -12,10 +12,9 @@ import syzcurve.syzygy
 from syzcurve import (CurveRecord, NotReduced, QMatrix, ar_basis, ar_dim,
                       build_report, catalog, ct, defect, dim_graded, er_dim,
                       freeness, gcd_many, gradient_matrix, h0m_dim,
-                      h0m_mult_kernel, jacobian_dim, jacobian_span_equal,
-                      kernel_basis, koszul_dim, mdr, milnor_dim, mono_basis,
-                      parse, rank, sat_basis, saturation_dim,
-                      smooth_milnor_dim, table_values, tau)
+                      jacobian_dim, kernel_basis, koszul_dim, mdr,
+                      milnor_dim, mono_basis, parse, rank, sat_basis,
+                      saturation_dim, smooth_milnor_dim, table_values, tau)
 from syzcurve.curvecat import lookup, non_ts_family
 from syzcurve.ring3 import Mono, _basis_index, partials
 from syzcurve.syzygy import _jac_left_kernel, _results, jacobian_rows
@@ -264,14 +263,20 @@ class TestNotReduced:
         f = parse("x^3 - (7*y - z)^3")
         assert tau(f) == 4
         assert _results(f)[("reduced", 3)] is None
+        # with no pair at all the gcd of the partials decides, here on the
+        # nine-line arrangement, whose partials have degree 8
+        monkeypatch.setattr(syzcurve.syzygy, "_CERTIFICATE_PAIRS", ())
+        f = line_product(LADDER_LINES)
+        assert tau(f) == 36
+        assert _results(f)[("reduced", 15)] is None
 
     def test_certificate_is_kept_on_the_polynomial(self, monkeypatch):
         f = parse("y^2*z - x^2*(x + z)")
         assert tau(f) == 1
 
-        def refuse(g, k):
-            raise AssertionError("mult_matrix(%s, %d) built" % (g, k))
-        monkeypatch.setattr(syzcurve.syzygy, "mult_matrix", refuse)
+        def refuse(polys, t):
+            raise AssertionError("product_rows(%s, %d) built" % (polys, t))
+        monkeypatch.setattr(syzcurve.polygcd, "product_rows", refuse)
         assert tau(f) == 1
 
 
@@ -362,18 +367,21 @@ def self_dual_curve(name):
 
 
 @functools.cache
-def direct_h0m_row(name):
-    """h0m over 0..T, T = 3(d - 2), every degree from its own saturation
-    kernel (sat_basis) and Jacobian rank, on a freshly parsed copy."""
+def direct_rows(name):
+    """h0m and defect over 0..T, T = 3(d - 2), every degree from its own
+    saturation kernel (sat_basis) and Jacobian rank, on a freshly parsed
+    copy: h0m = sat - jacobian_dim and defect = tau - (dim S_k - sat)."""
     g = parse(str(self_dual_curve(name)))
-    return tuple(len(sat_basis(g, k)) - jacobian_dim(g, k)
-                 for k in range(3 * (g.degree - 2) + 1))
+    sat = [len(sat_basis(g, k)) for k in range(3 * (g.degree - 2) + 1)]
+    t = tau(g)
+    return (tuple(s - jacobian_dim(g, k) for k, s in enumerate(sat)),
+            tuple(t - (dim_graded(k) - s) for k, s in enumerate(sat)))
 
 
 def middle_out_freeness(name):
     """The freeness scan over the whole window 0..T, middle-out, on direct
     h0m values: (free, exponents, witness_degree)."""
-    row = direct_h0m_row(name)
+    row = direct_rows(name)[0]
     top = len(row) - 1
     witness = next((k for k in sorted(range(top + 1),
                                       key=lambda k: (abs(2 * k - top), k))
@@ -389,14 +397,17 @@ class TestSelfDuality:
     """The defect module sat(J)/J is self-dual about T/2, T = 3(d - 2)
     (Sernesi 2014): h0m(k) == h0m(T - k) for 0 <= k <= T.  h0m_dim reads
     the upper half off the lower one, so both sides are computed directly
-    here, and h0m_dim must give the same row."""
+    here, and h0m_dim must give the same row.  defect reaches the same
+    mirror through tau - milnor_dim + h0m_dim and must match its direct
+    row too."""
 
     @staticmethod
     def check(name):
-        row = direct_h0m_row(name)
+        row, defects = direct_rows(name)
         assert row == row[::-1]
         f = self_dual_curve(name)
         assert tuple(h0m_dim(f, k) for k in range(len(row))) == row
+        assert tuple(defect(f, k) for k in range(len(row))) == defects
         return row
 
     @pytest.mark.parametrize(
@@ -427,6 +438,40 @@ class TestSelfDuality:
         v = freeness(parse(str(self_dual_curve(name))))
         assert ((v.free, v.exponents, v.witness_degree)
                 == middle_out_freeness(name))
+
+
+def jacobian_span_equal(f, g):
+    """Whether f and g have the same span of partial derivatives."""
+    cols_f = [p.coeff_vector() for p in partials(f)]
+    cols_g = [p.coeff_vector() for p in partials(g)]
+    rf = rank(QMatrix.from_columns(cols_f))
+    rg = rank(QMatrix.from_columns(cols_g))
+    rboth = rank(QMatrix.from_columns(cols_f + cols_g))
+    return rf == rg == rboth
+
+
+def h0m_mult_kernel(f, g, m):
+    """Kernel dimension of multiplication by g from the degree-m piece of
+    (saturation / ideal) to the degree m + deg g piece."""
+    basis = sat_basis(f, m)
+    if not basis:
+        return 0
+    t = m + g.degree
+    lker = _jac_left_kernel(f, t)
+    if not lker:
+        return len(basis) - jacobian_dim(f, m)
+    idx = _basis_index(t)
+    cols = []
+    for b in basis:
+        prod = g * b
+        vec = [Fraction(0)] * dim_graded(t)
+        for mono, c in prod.terms.items():
+            vec[idx[mono]] = c
+        cols.append([sum(Fraction(li) * vi for li, vi in zip(l, vec) if li and vi)
+                     for l in lker])
+    mat = QMatrix.from_columns(cols)
+    kdim = len(kernel_basis(mat))
+    return kdim - jacobian_dim(f, m)
 
 
 class TestSpanAndMultiplication:

@@ -4,18 +4,38 @@ from fractions import Fraction
 
 import pytest
 
-from syzcurve import (DegreeMismatch, HPoly, LinearSystem, NotNodalCurve,
-                      ProjPoint, TangentNotThroughPoint,
-                      WrongSingularityTypes, ar_dim, base_locus_zero_dim,
-                      dimension_obstruction, jacobian_membership,
-                      syzygy_growth_delta, linear_change, linear_system_cusps,
-                      linear_system_points, moduli_dim, parse,
-                      saturation_dim, severi_dim, torelli_cuspidal,
+from syzcurve import (HPoly, LinearSystem, NotNodalCurve, ProjPoint,
+                      TangentNotThroughPoint, WrongSingularityTypes, ar_dim,
+                      base_locus_zero_dim, dimension_obstruction,
+                      gradient_matrix, in_span, linear_change,
+                      linear_system_cusps, linear_system_points, moduli_dim,
+                      parse, saturation_dim, severi_dim, torelli_cuspidal,
                       torelli_nodal, torelli_nodal_count)
 from syzcurve.curvecat import lookup
 from syzcurve.ring3 import eval_at, partials
 
 F = Fraction
+
+
+class DegreeMismatch(ValueError):
+    """Operands have incompatible degrees."""
+
+
+def syzygy_growth_delta(f, k):
+    """Difference of syzygy dimensions one degree up versus d-2 degrees
+    down; the quantity controlled by the recovery arguments."""
+    return ar_dim(f, k + 1) - ar_dim(f, k - f.degree + 2)
+
+
+def jacobian_membership(f, g):
+    """Is the degree-(d-1) form g a constant linear combination of the
+    three partial derivatives of f?"""
+    if not g.is_zero() and g.degree != f.degree - 1:
+        raise DegreeMismatch("expected degree %d, got %d"
+                             % (f.degree - 1, g.degree))
+    if g.is_zero():
+        return True
+    return in_span(g.coeff_vector(), gradient_matrix(f, 0))
 
 
 def _directional_derivative(g, point, direction):
