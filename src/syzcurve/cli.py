@@ -10,7 +10,9 @@ freeness   freeness verdict (both decision methods) for one curve
 torelli    reconstructability verdict for one curve
 
 Exit codes: 0 success, 1 usage error, 2 verification or fixture failure
-(a curve that is not reduced included).
+(a curve that is not reduced included), 3 an internal consistency check
+failed (RelationViolated, NegativeH2), printed as "internal check failed:
+<message>".  Any other ArithmeticError is a bug and ends in a traceback.
 """
 from __future__ import annotations
 
@@ -25,13 +27,14 @@ from .analysis import (UnknownInvariant, build_report, check_expectations,
                        table_values, torelli_report)
 from .curvecat import (CurveFileSyntax, VerificationFailed, catalog,
                        load_curve_file, lookup)
-from .logbundle import freeness, is_stable, stability_sufficient
+from .logbundle import NegativeH2, freeness, is_stable, stability_sufficient
 from .singcat import SmoothCurve, alpha_curve
-from .syzygy import NotReduced
+from .syzygy import NotReduced, RelationViolated
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
+EXIT_INTERNAL = 3
 
 
 class _UsageError(Exception):
@@ -317,6 +320,9 @@ def main(argv=None) -> int:
     except NotReduced as e:
         sys.stderr.write("not reduced: %s\n" % e)
         return EXIT_VERIFY
+    except (RelationViolated, NegativeH2) as e:
+        sys.stderr.write("internal check failed: %s\n" % e)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -59,17 +59,8 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
 
-    def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> list:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
-    def row_lists(self) -> list:
-        return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "QMatrix":
         flat = []
@@ -87,21 +78,6 @@ class QMatrix:
             flat.extend(self.row(i))
             flat.append(col[i])
         return QMatrix(self.rows, self.cols + 1, flat)
-
-    def mul_vector(self, vec) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = Fraction(0)
-            for j, v in enumerate(vec):
-                if v:
-                    e = self.entries[base + j]
-                    if e:
-                        acc += e * v
-            out.append(acc)
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, QMatrix) and self.rows == other.rows

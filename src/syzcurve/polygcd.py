@@ -9,42 +9,20 @@ deg g + deg h - 1 gives e (the rank defect is dim S_{e-1}, zero exactly
 when g and h are coprime).  When e = deg h, h itself is the gcd;
 otherwise in degree deg g + deg h - e the kernel is a single pair, whose p
 is g / G up to a scalar, and G is the exact quotient.
-The rows of the map are integer rows u g and u h against the monomial
-basis, the same exact linear algebra as everywhere else in the package.
+The rows of the map are ring3.product_rows, integer rows u g and u h
+against the monomial basis, the same exact linear algebra as everywhere
+else in the package.
 The gcd is returned with leading coefficient 1 in the canonical monomial
 order.
 """
 from __future__ import annotations
 
-from math import lcm
-
-from .exactlin import QMatrix, in_span, integer_kernel, rank, solve
-from .ring3 import HPoly, _basis_index, dim_graded, mono_basis, mult_matrix
+from .exactlin import in_span, integer_kernel, rank, solve
+from .ring3 import HPoly, dim_graded, mult_matrix, product_rows
 
 
 class AllZero(ValueError):
     """gcd of an empty or all-zero family is undefined."""
-
-
-def product_rows(polys, t: int) -> QMatrix:
-    """Integer rows u * g against mono_basis(t): for each g in polys in
-    turn, one row per u in mono_basis(t - deg g).  Each g is scaled to
-    integers once, by the lcm of its denominators, which changes no rank
-    and scales each block of a left kernel vector by a constant."""
-    idx = _basis_index(t)
-    ncols = len(idx)
-    flat: list = []
-    nrows = 0
-    for g in polys:
-        scale = lcm(*(c.denominator for c in g.terms.values()))
-        terms = [(m, int(c * scale)) for m, c in g.terms.items()]
-        for u in mono_basis(t - g.degree):
-            row = [0] * ncols
-            for m, c in terms:
-                row[idx[u * m]] = c
-            flat.extend(row)
-            nrows += 1
-    return QMatrix(nrows, ncols, flat)
 
 
 def common_degree(g: HPoly, h: HPoly) -> int:

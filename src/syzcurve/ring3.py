@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, NamedTuple
 
 from .exactlin import QMatrix
@@ -277,6 +278,42 @@ def mult_matrix(g: HPoly, k: int) -> QMatrix:
     for j, u in enumerate(src):
         for m, c in g.terms.items():
             flat[tgt_index[u * m] * ncols + j] += c
+    return QMatrix(nrows, ncols, flat)
+
+
+def product_rows(polys, t: int, prune: bool = False) -> QMatrix:
+    """Integer rows u * g against mono_basis(t): for each g in polys in
+    turn, one row per u in mono_basis(t - deg g).  All of polys are scaled
+    by one common integer, the lcm of their denominators, which changes no
+    rank and no kernel.
+
+    With prune, the row u * g_j is left out when lm(g_i) divides u for an
+    earlier member g_i (lm in the graded-lex order of mono_basis), the
+    criterion of Faugere's F5: with u = w * lm(g_i),
+    lc(g_i) * u * g_j = w * g_j * g_i - w * (g_i - lc(g_i) lm(g_i)) * g_j
+    is a combination of g_i rows and of g_j rows at monomials below u, so
+    by induction on j and on u the kept rows span the same space as all
+    rows.  Pruning needs every member nonzero.
+    """
+    scale = lcm(*(c.denominator for g in polys for c in g.terms.values()))
+    idx = _basis_index(t)
+    ncols = len(idx)
+    leads: list = []
+    flat: list = []
+    nrows = 0
+    for g in polys:
+        terms = [(m, int(c * scale)) for m, c in g.terms.items()]
+        for u in mono_basis(t - g.degree):
+            if any(u.ex >= l.ex and u.ey >= l.ey and u.ez >= l.ez
+                   for l in leads):
+                continue
+            row = [0] * ncols
+            for m, c in terms:
+                row[idx[u * m]] = c
+            flat.extend(row)
+            nrows += 1
+        if prune:
+            leads.append(g.leading_monomial())
     return QMatrix(nrows, ncols, flat)
 
 

@@ -2,14 +2,16 @@
 
 Everything here reduces to exact linear algebra on graded pieces of the
 Jacobian ideal J = (f_x, f_y, f_z).  Its degree-t piece is spanned by the
-generator rows u * f_i with deg u = t - d + 1.  The rows forced by the
-trivial (Koszul) relations f_i * f_j = f_j * f_i are left out before any
-elimination (jacobian_rows), so the ranks of J_t and its annihilator in
-the dual of S_t, the left kernel behind saturation, eliminate only the
-generators that can carry new information.  The relation module itself
-needs every generator column: its degree-m piece is the kernel of
-gradient_matrix(f, m), which sends a triple (a, b, c) of degree-m forms to
-a f_x + b f_y + c f_z.
+generator rows u * f_i with deg u = t - d + 1, built by ring3.product_rows.
+The rows forced by the trivial (Koszul) relations f_i * f_j = f_j * f_i
+are left out before any elimination (jacobian_rows), so the ranks of J_t
+and its annihilator in the dual of S_t, the left kernel behind saturation,
+eliminate only the generators that can carry new information.  The
+relation module itself needs every generator column: its degree-m piece is
+the kernel of gradient_matrix(f, m), which sends a triple (a, b, c) of
+degree-m forms to a f_x + b f_y + c f_z.  The trivial relations themselves
+need no elimination: for a reduced curve their span has the dimension of
+the Koszul complex's closed formula (koszul_dim).
 
 The invariants are defined for reduced curves, and for those the Milnor
 algebra S/J has dimension tau in every degree from T = 3(d-2) on.  So tau
@@ -17,23 +19,18 @@ is read off one elimination, the left kernel at T + 1, which saturation
 and freeness need anyway, once one small rank has certified that f is
 reduced (_certify_reduced); input that is not reduced raises NotReduced.
 
-Each curve's certificate, ranks, left kernels, Koszul dimensions and
-saturation dimensions are kept on the polynomial itself, keyed by
-(kind, degree), and reused for as long as the polynomial lives.
+Each curve's certificate, ranks, left kernels and saturation dimensions
+are kept on the polynomial itself, keyed by (kind, degree), and reused for
+as long as the polynomial lives.
 """
 from __future__ import annotations
 
-from math import lcm
 from typing import NamedTuple
 
 from .exactlin import QMatrix, integer_kernel, kernel_basis, rank
 from .polygcd import common_degree, exact_quotient, gcd_many
 from .ring3 import (HPoly, Mono, dim_graded, mono_basis, _basis_index,
-                    mult_matrix, partials)
-
-
-class KoszulMismatch(ArithmeticError):
-    """Closed-form and rank computations of the Koszul dimension disagree."""
+                    partials, product_rows)
 
 
 class RelationViolated(ArithmeticError):
@@ -71,58 +68,24 @@ def _results(f: HPoly) -> dict:
 def gradient_matrix(f: HPoly, m: int) -> QMatrix:
     """Matrix of (a,b,c) -> a f_x + b f_y + c f_z from degree m triples.
 
-    Rows follow mono_basis(m + d - 1); the columns are the three mult_matrix
-    blocks for f_x, f_y, f_z side by side.  Every column is needed where the
-    kernel is the relation module (ar_basis), whose Koszul relations live
-    in exactly the columns jacobian_rows leaves out.
+    Rows follow mono_basis(m + d - 1); the columns are the blocks for f_x,
+    f_y, f_z side by side, each following mono_basis(m): the transposed
+    product rows of all three partials, scaled by one common integer, which
+    leaves the kernel as it is.  Every column is needed where the kernel is
+    the relation module (ar_basis), whose Koszul relations live in exactly
+    the columns jacobian_rows leaves out.
     """
-    fx, fy, fz = partials(f)
-    blocks = [mult_matrix(g, m) for g in (fx, fy, fz)]
-    nrows = dim_graded(m + f.degree - 1)
-    ncols = sum(b.cols for b in blocks)
-    flat = []
-    for i in range(nrows):
-        for b in blocks:
-            flat.extend(b.row(i))
-    return QMatrix(nrows, ncols, flat)
+    return product_rows(partials(f), m + f.degree - 1).transpose()
 
 
 def jacobian_rows(f: HPoly, t: int) -> QMatrix:
     """Integer rows spanning the degree-t piece of the Jacobian ideal,
-    against mono_basis(t).
-
-    One row per generator u * f_i with deg u = t - d + 1, the partials
-    scaled by one common integer and taken in x, y, z order.  The row
-    u * f_j is left out when lm(f_i) divides u for an earlier nonzero
-    partial f_i (lm in the graded-lex order of mono_basis), the criterion
-    of Faugere's F5: with u = w * lm(f_i),
-    lc(f_i) * u * f_j = w * f_j * f_i - w * (f_i - lc(f_i) lm(f_i)) * f_j
-    is a combination of f_i rows and of f_j rows at monomials below u, so
-    by induction on j and on u the kept rows span the same space as all
-    rows.  A zero partial contributes no rows and leaves nothing out.
+    against mono_basis(t): the F5-pruned product rows u * f_i of the
+    nonzero partials in x, y, z order (ring3.product_rows with prune).  A
+    zero partial contributes no rows and leaves nothing out.
     """
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    idx = _basis_index(t)
-    ncols = len(idx)
-    gens = mono_basis(t - f.degree + 1)
-    leads: list = []
-    flat: list = []
-    nrows = 0
-    for g in partials(f):
-        if g.is_zero():
-            continue
-        terms = [(m, int(c * scale)) for m, c in g.terms.items()]
-        for u in gens:
-            if any(u.ex >= l.ex and u.ey >= l.ey and u.ez >= l.ez
-                   for l in leads):
-                continue
-            row = [0] * ncols
-            for m, c in terms:
-                row[idx[u * m]] = c
-            flat.extend(row)
-            nrows += 1
-        leads.append(g.leading_monomial())
-    return QMatrix(nrows, ncols, flat)
+    return product_rows([g for g in partials(f) if not g.is_zero()], t,
+                        prune=True)
 
 
 def jacobian_dim(f: HPoly, t: int) -> int:
@@ -176,40 +139,27 @@ def ar_basis(f: HPoly, m: int) -> list:
 
 def koszul_dim(f: HPoly, m: int) -> int:
     """Dimension of the degree-m span of the three sign-alternating relations
-    built from pairs of partials, cross-checked against the closed formula
-    3 dim S_{m-d+1} - dim S_{m-2d+2}."""
-    results = _results(f)
-    key = ("koszul", m)
-    if key in results:
-        return results[key]
+    built from pairs of partials: 3 dim S_{m-d+1} - dim S_{m-2d+2}.
+
+    The formula is exact once the Koszul complex on the partials is exact
+    at H_2, which holds when they share no factor: the ideal they generate
+    then has depth at least 2 (Eisenbud, Commutative Algebra, ch. 17).  A
+    reduced f leaves its partials no common factor, so _certify_reduced
+    proves f reduced first and raises NotReduced otherwise.  Below degree
+    d - 1 the span is 0, which is returned without the formula: the mdr
+    scan asks for those degrees on every call and mostly stops there.
+    """
+    _certify_reduced(f)
     d = f.degree
-    formula = 3 * dim_graded(m - d + 1) - dim_graded(m - 2 * d + 2)
-    if m - d + 1 < 0:
-        computed = 0
-    else:
-        fx, fy, fz = partials(f)
-        zero = HPoly.zero(d - 1)
-        triples = [(zero, fz, -fy), (-fz, zero, fx), (fy, -fx, zero)]
-        n = dim_graded(m)
-        cols = []
-        for u in mono_basis(m - d + 1):
-            um = HPoly.monomial(u)
-            for (a, b, c) in triples:
-                vec = ((um * a).coeff_vector() + (um * b).coeff_vector()
-                       + (um * c).coeff_vector())
-                cols.append(vec)
-        computed = rank(QMatrix.from_columns(cols)) if cols else 0
-        assert len(cols) == 0 or len(cols[0]) == 3 * n
-    if computed != formula:
-        raise KoszulMismatch(
-            "koszul dimension at m=%d: rank %d vs formula %d" % (m, computed, formula))
-    results[key] = formula
-    return formula
+    if m < d - 1:
+        return 0
+    return 3 * dim_graded(m - d + 1) - dim_graded(m - 2 * d + 2)
 
 
 def er_dim(f: HPoly, m: int) -> int:
     """Dimension of the degree-m piece of the essential (non-trivial)
-    relation module: ar_dim minus the span of the trivial relations."""
+    relation module: ar_dim minus the span of the trivial relations.
+    NotReduced for a curve that is not reduced (koszul_dim)."""
     a = ar_dim(f, m)
     k = koszul_dim(f, m)
     if a < k:

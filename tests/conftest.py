@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from syzcurve import HPoly, Mono, QMatrix, mono_basis
+from syzcurve import HPoly, QMatrix, mono_basis, partials, rank
 
 # a generic arrangement of nine lines (no three concurrent); its first d
 # lines give the benchmark's degree-ladder curve of degree d
@@ -38,8 +38,34 @@ def qmatrices(draw, max_dim=5):
     return QMatrix(rows, cols, [Fraction(e) for e in entries])
 
 
-def mat_vec(m, v):
-    return m.mul_vector(v)
+def row_lists(m) -> list:
+    """The rows of a QMatrix as lists."""
+    return [m.row(i) for i in range(m.rows)]
+
+
+def mat_vec(m, v) -> list:
+    """The product m v of a QMatrix and a vector, exact."""
+    if len(v) != m.cols:
+        raise ValueError("vector length mismatch")
+    return [sum((e * w for e, w in zip(row, v) if e and w), Fraction(0))
+            for row in row_lists(m)]
+
+
+def koszul_rank(f, m) -> int:
+    """Rank of the degree-m span of the three sign-alternating relations
+    (0, f_z, -f_y), (-f_z, 0, f_x), (f_y, -f_x, 0), each times every
+    monomial of degree m - d + 1: an elimination to check koszul_dim's
+    closed formula against."""
+    fx, fy, fz = partials(f)
+    zero = HPoly.zero(f.degree - 1)
+    triples = [(zero, fz, -fy), (-fz, zero, fx), (fy, -fx, zero)]
+    cols = []
+    for u in mono_basis(m - f.degree + 1):
+        um = HPoly.monomial(u)
+        for a, b, c in triples:
+            cols.append((um * a).coeff_vector() + (um * b).coeff_vector()
+                        + (um * c).coeff_vector())
+    return rank(QMatrix.from_columns(cols)) if cols else 0
 
 
 def line_product(lines) -> HPoly:

@@ -7,12 +7,14 @@ would, on the worked examples the package is built around.
 import math
 from fractions import Fraction
 
-from syzcurve import (alpha_curve, ar_dim, catalog, ct, defect,
-                      dimension_obstruction, er_dim, freeness,
+from syzcurve import (RelationViolated, alpha_curve, ar_dim, catalog, ct,
+                      defect, dimension_obstruction, er_dim, freeness,
                       genus_sum_check, h0m_dim, h1_tangent, is_stable,
                       koszul_dim, kouchnirenko_mu, lookup, mdr, non_ts_family,
                       numerics, parse, partials, stability_sufficient, tau,
                       thom_sebastiani, torelli_cuspidal, torelli_nodal)
+
+from conftest import koszul_rank
 
 
 def test_criterion_01_zariski_sextic_threshold_tau_stability_discriminant():
@@ -124,13 +126,15 @@ def test_criterion_10_catalog_wide_identities():
         f, d = rec.f, rec.degree
         fx, fy, fz = partials(f)
         check(x * fx + y * fy + z * fz == f * d, rec, "euler relation")
-        # the koszul computation self-verifies rank against the closed
-        # formula and er must stay non-negative
-        try:
-            for m in range(0, d + 2):
+        # the eliminated Koszul span matches koszul_dim's closed formula,
+        # and er must stay non-negative
+        for m in range(0, d + 2):
+            check(koszul_rank(f, m) == koszul_dim(f, m), rec,
+                  "koszul rank vs formula at m=%d" % m)
+            try:
                 er_dim(f, m)
-        except ArithmeticError as e:
-            check(False, rec, "koszul/er consistency: %s" % e)
+            except RelationViolated as e:
+                check(False, rec, "er consistency: %s" % e)
         q = mdr(f)
         if q is not None:
             check(ct(f) == q + d - 2, rec, "ct = mdr + d - 2")

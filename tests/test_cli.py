@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, exit codes, JSON determinism, and
 corpus parallel/serial agreement."""
+import importlib
+import inspect
 import json
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -93,6 +96,24 @@ class TestAnalyze:
         assert err == ("not reduced: curve of degree 3 is not reduced: it "
                        "repeats the factor x\n")
         assert out == ""
+
+    @pytest.mark.parametrize("error", [syzcurve.RelationViolated,
+                                       syzcurve.NegativeH2])
+    def test_internal_check_failure_exit_3(self, capsys, monkeypatch, error):
+        def fail(f):
+            raise error("planted at m=4")
+        monkeypatch.setattr(syzcurve.cli, "freeness", fail)
+        code, out, err = run(capsys, "freeness", "triangle")
+        assert code == 3
+        assert err == "internal check failed: planted at m=4\n"
+        assert out == ""
+
+    def test_other_arithmetic_error_stays_a_traceback(self, monkeypatch):
+        def fail(f):
+            raise ArithmeticError("planted")
+        monkeypatch.setattr(syzcurve.cli, "freeness", fail)
+        with pytest.raises(ArithmeticError, match="planted"):
+            main(["freeness", "triangle"])
 
     @pytest.mark.parametrize("poly, degree", [("x", 1), ("1", 0)])
     def test_degree_below_two_exit_2(self, capsys, tmp_path, poly, degree):
@@ -237,3 +258,28 @@ class TestUsage:
         m = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
         assert m is not None
         assert syzcurve.__version__ == m.group(1)
+
+    def test_traced_functions_stay_public(self):
+        # perfbench's tracer reports a function's per_layer metrics only
+        # while its module defines it publicly, and sizes each exactlin
+        # call by that function's QMatrix argument
+        root = Path(__file__).parent.parent
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        for metric in spec["per_layer"]:
+            parts = metric["name"].split(".")
+            if len(parts) != 3 or parts[2] not in ("calls", "self_s"):
+                continue
+            module = importlib.import_module("syzcurve." + parts[0])
+            func = getattr(module, parts[1], None)
+            assert not parts[1].startswith("_"), metric["name"]
+            assert inspect.isfunction(func), metric["name"]
+            assert func.__module__ == module.__name__, metric["name"]
+        exactlin = syzcurve.exactlin
+        for name, func in vars(exactlin).items():
+            if (name.startswith("_") or not inspect.isfunction(func)
+                    or func.__module__ != exactlin.__name__):
+                continue
+            params = list(inspect.signature(func).parameters)
+            matrix = params[1] if name == "in_span" else params[0]
+            assert (typing.get_type_hints(func)[matrix]
+                    is exactlin.QMatrix), name

@@ -10,8 +10,8 @@ from syzcurve.curvecat import lookup
 from syzcurve.exactlin import _echelon, _integer_rows, integer_kernel
 from syzcurve.syzygy import gradient_matrix, jacobian_rows
 
-from conftest import (LADDER_LINES, coeffs, line_product, nonzero_coeffs,
-                      qmatrices)
+from conftest import (LADDER_LINES, coeffs, line_product, mat_vec,
+                      nonzero_coeffs, qmatrices, row_lists)
 
 F = Fraction
 
@@ -26,7 +26,7 @@ def reference_rref(m):
     Returns (rows, pivot_cols).  Independent of the package's fraction-free
     elimination; the tests use it as the reference for rank and kernel.
     """
-    rows = m.row_lists()
+    rows = row_lists(m)
     pivot_cols = []
     r = 0
     for c in range(m.cols):
@@ -65,7 +65,7 @@ def fraction_back_substitution(m):
     """The kernel basis by the earlier Fraction back-substitution over the
     package's echelon rows: a reference for the integer back-substitution
     on matrices too large for reference_kernel."""
-    rows = _integer_rows(m.row_lists())
+    rows = _integer_rows(row_lists(m))
     rank_, pivot_cols = _echelon(rows, m.cols)
     basis = []
     for fc in range(m.cols):
@@ -161,7 +161,7 @@ class TestKernel:
     @settings(max_examples=60)
     def test_kernel_vectors_annihilate(self, m):
         for v in kernel_basis(m):
-            assert all(x == 0 for x in m.mul_vector(v))
+            assert all(x == 0 for x in mat_vec(m, v))
             assert any(x != 0 for x in v)
 
     def test_kernel_deterministic(self):
@@ -191,7 +191,7 @@ class TestAgainstReference:
     def test_zero_matrix(self):
         m = QMatrix(2, 3, [F(0)] * 6)
         assert kernel_basis(m) == reference_kernel(m)
-        assert kernel_basis(m) == QMatrix.identity(3).row_lists()
+        assert kernel_basis(m) == row_lists(QMatrix.identity(3))
 
     def test_six_node_sextic_left_kernel(self):
         # the transposed gradient matrix at T + 1 = 13, as in the left
@@ -241,7 +241,7 @@ class TestIntegerInput:
     def check(ints):
         assert all(type(v) is int for v in ints.entries)
         n = ints.cols
-        rows = ints.row_lists()
+        rows = row_lists(ints)
         copies = [
             QMatrix.from_rows([[F(v) for v in row] for row in rows]),
             QMatrix.from_rows([[F(v, i + 2) for v in row]
@@ -279,7 +279,7 @@ class TestSpanAndSolve:
         m = M([[2, 1], [1, 3]])
         x = solve(m, [F(5), F(10)])
         assert x is not None
-        assert m.mul_vector(x) == [F(5), F(10)]
+        assert mat_vec(m, x) == [F(5), F(10)]
 
     def test_solve_inconsistent(self):
         m = M([[1, 1], [1, 1]])
@@ -289,10 +289,10 @@ class TestSpanAndSolve:
     @settings(max_examples=60)
     def test_solve_recovers_image_vector(self, m, data):
         x = [F(data.draw(coeffs)) for _ in range(m.cols)]
-        b = m.mul_vector(x)
+        b = mat_vec(m, x)
         y = solve(m, b)
         assert y is not None
-        assert m.mul_vector(y) == b
+        assert mat_vec(m, y) == b
 
     @given(qmatrices(), st.data())
     @settings(max_examples=60)

@@ -10,7 +10,7 @@ from syzcurve import HPoly, Mono, ProjPoint, dim_graded, linear_change, \
 from syzcurve.ring3 import (NotHomogeneous, ParseError, SingularMatrix,
                             eval_at, mono_index, mult_matrix)
 
-from conftest import hpolys
+from conftest import hpolys, mat_vec
 
 F = Fraction
 
@@ -104,7 +104,7 @@ class TestMultMatrix:
     @settings(max_examples=30)
     def test_matrix_action_is_multiplication(self, g, h):
         m = mult_matrix(g, h.degree)
-        assert m.mul_vector(h.coeff_vector()) == (g * h).coeff_vector()
+        assert mat_vec(m, h.coeff_vector()) == (g * h).coeff_vector()
 
     def test_shape(self):
         g = parse("x^2 + y*z")

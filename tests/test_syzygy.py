@@ -16,10 +16,10 @@ from syzcurve import (CurveRecord, NotReduced, QMatrix, ar_basis, ar_dim,
                       milnor_dim, mono_basis, parse, rank, sat_basis,
                       saturation_dim, smooth_milnor_dim, table_values, tau)
 from syzcurve.curvecat import lookup, non_ts_family
-from syzcurve.ring3 import Mono, _basis_index, partials
+from syzcurve.ring3 import Mono, _basis_index, mult_matrix, partials
 from syzcurve.syzygy import _jac_left_kernel, _results, jacobian_rows
 
-from conftest import LADDER_LINES, hpolys, line_product
+from conftest import LADDER_LINES, hpolys, koszul_rank, line_product
 
 TRIANGLE = parse("x*y*z")
 FERMAT3 = parse("x^3 + y^3 + z^3")
@@ -45,20 +45,35 @@ class TestJacobianDim:
                 FERMAT3, k)
 
 
+def reference_gradient_matrix(f, m):
+    """The matrix of (a, b, c) -> a f_x + b f_y + c f_z from degree-m
+    triples, as the three Fraction mult_matrix blocks side by side: a
+    reference that shares no code with ring3.product_rows."""
+    blocks = [mult_matrix(g, m) for g in partials(f)]
+    nrows = dim_graded(m + f.degree - 1)
+    flat = []
+    for i in range(nrows):
+        for b in blocks:
+            flat.extend(b.row(i))
+    return QMatrix(nrows, sum(b.cols for b in blocks), flat)
+
+
 def check_against_gradient_matrix(f):
-    """jacobian_rows(f, t) against every generator column of
-    gradient_matrix(f, m), t = m + d - 1, for t up to 3(d-2) + 2: equal rank,
-    equal canonical kernel, and no more rows left out than the Koszul
-    closed form 3 dim S_{m-d+1} - dim S_{m-2d+2}.  Returns the numbers of
-    rows left out, by m."""
+    """jacobian_rows(f, t) against every generator column of the reference
+    gradient matrix at m, t = m + d - 1, for t up to 3(d-2) + 2: equal
+    rank, equal canonical kernel, and no more rows left out than the Koszul
+    closed form 3 dim S_{m-d+1} - dim S_{m-2d+2}.  gradient_matrix(f, m)
+    has the reference's canonical kernel, the one ar_basis reads.  Returns
+    the numbers of rows left out, by m."""
     d = f.degree
     nonzero = sum(not g.is_zero() for g in partials(f))
     dropped = []
     for m in range(0, 3 * (d - 2) + 2 - (d - 1) + 1):
         rows = jacobian_rows(f, m + d - 1)
-        full = gradient_matrix(f, m)
+        full = reference_gradient_matrix(f, m)
         assert rank(rows) == rank(full)
         assert kernel_basis(rows) == kernel_basis(full.transpose())
+        assert kernel_basis(gradient_matrix(f, m)) == kernel_basis(full)
         left_out = nonzero * dim_graded(m) - rows.rows
         assert 0 <= left_out <= (3 * dim_graded(m - d + 1)
                                  - dim_graded(m - 2 * d + 2))
@@ -126,11 +141,12 @@ class TestRelations:
                     assert triple.is_relation(f)
 
     def test_koszul_formula_consistency(self):
-        # koszul_dim cross-checks a rank computation against the closed
-        # formula internally and raises on disagreement
-        for f in (TRIANGLE, FERMAT3, NODAL, CUSP, C222):
-            for m in range(0, 2 * f.degree):
-                assert koszul_dim(f, m) >= 0
+        # koszul_dim's closed formula against an elimination of the span
+        curves = [TRIANGLE, FERMAT3, NODAL, CUSP, C222]
+        curves += [rec.f for rec in catalog() if rec.degree <= 8]
+        for f in curves:
+            for m in range(0, 2 * f.degree + 1):
+                assert koszul_rank(f, m) == koszul_dim(f, m), (str(f), m)
 
     def test_er_nonnegative_and_smooth_trivial(self):
         for m in range(0, 7):
@@ -142,7 +158,7 @@ class TestRelations:
     def test_ar_contains_koszul(self, f):
         assume(gcd_many(partials(f)).degree == 0)
         for m in range(0, 5):
-            assert ar_dim(f, m) >= koszul_dim(f, m)
+            assert ar_dim(f, m) >= koszul_dim(f, m) == koszul_rank(f, m)
 
 
 class TestScalarInvariants:
@@ -241,6 +257,10 @@ class TestNotReduced:
         assert time.perf_counter() - start < 1
         assert str(info.value).startswith("curve of degree %d " % f.degree)
         assert str(info.value).endswith("repeats the factor %s" % factor)
+        # the Koszul dimension behind mdr needs a reduced curve too
+        with pytest.raises(NotReduced) as again:
+            mdr(parse(text))
+        assert str(again.value) == str(info.value)
 
     def test_mirror_degrees_refuse_non_reduced_input(self):
         # h0m self-duality needs a reduced curve, so no mirrored value is
