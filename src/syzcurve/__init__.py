@@ -27,7 +27,7 @@ from .singcat import (Check, DeclaredSing, NonConvenient, SingType,
 from .syzygy import (NotReduced, RelationViolated, SyzygyTriple, ar_basis,
                      ar_dim, ct, defect, er_dim, gradient_matrix, h0m_dim,
                      jacobian_dim, koszul_dim, mdr, milnor_dim, sat_basis,
-                     saturation_dim, smooth_milnor_dim, tau)
+                     saturation_dim, tau)
 from .torelli import (DimensionObstruction, LinearSystem, NotNodalCurve,
                       TangentNotThroughPoint, TorelliVerdict,
                       WrongSingularityTypes, base_locus_zero_dim,

@@ -10,15 +10,16 @@ numbers as "p/q" strings) so that emitted files round-trip byte-for-byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .curvecat import CurveRecord
 from .logbundle import (NotNodal, freeness, genus_sum_check, h0_tangent,
                         h1_tangent, h2_tangent, is_stable, numerics,
                         stability_sufficient)
-from .singcat import SmoothCurve, alpha_curve
+from .singcat import CUSP, NODE, SmoothCurve, alpha_curve
 from .syzygy import ar_dim, ct, defect, er_dim, h0m_dim, mdr, milnor_dim, tau
 from .torelli import (dimension_obstruction, moduli_dim, severi_dim,
                       torelli_cuspidal, torelli_nodal)
@@ -55,11 +56,18 @@ def table_values(rec_or_f, invariant: str, lo: int, hi: int) -> list:
 
 
 def _sing_counts(sings):
-    n = sum(1 for s in sings if s.stype.kind == "A" and s.stype.params == (1,))
-    kappa = sum(1 for s in sings
-                if s.stype.kind == "A" and s.stype.params == (2,))
+    n = sum(1 for s in sings if s.stype == NODE)
+    kappa = sum(1 for s in sings if s.stype == CUSP)
     other = len(sings) - n - kappa
     return n, kappa, other
+
+
+def _criterion(rec):
+    """(method, verdict) of the criterion torelli_report dispatches to."""
+    _, kappa, _ = _sing_counts(rec.sings)
+    if kappa == 0:
+        return "nodal", torelli_nodal(rec)
+    return "cuspidal", torelli_cuspidal(rec)
 
 
 def _jsonable(value):
@@ -82,7 +90,7 @@ def _sing_entry(s):
     }
 
 
-def torelli_report(rec: CurveRecord, stable: Optional[bool] = None) -> dict:
+def torelli_report(rec: CurveRecord) -> dict:
     """Dispatch the applicable reconstructability criterion and fold in the
     dimension-count obstruction.
 
@@ -103,22 +111,13 @@ def torelli_report(rec: CurveRecord, stable: Optional[bool] = None) -> dict:
                          "criteria cover curves with nodes and ordinary "
                          "cusps only")
         return out
-    method = "nodal" if kappa == 0 else "cuspidal"
-    verdict = torelli_nodal(rec) if kappa == 0 else torelli_cuspidal(rec)
-    out.update({"applicable": True, "method": method,
-                "status": verdict.status, "criterion_status": verdict.status,
-                "witness_degree": verdict.witness_degree,
-                "by_count": verdict.by_count, "detail": verdict.detail})
+    method, verdict = _criterion(rec)
+    out.update(asdict(verdict), applicable=True, method=method,
+               criterion_status=verdict.status)
     obstruction = dimension_obstruction(rec.degree, n, kappa)
     if obstruction is not None:
-        out["obstruction"] = {
-            "family_dim": obstruction.family_dim,
-            "bundle_family_dim": obstruction.bundle_family_dim,
-            "detail": obstruction.detail,
-        }
-        if stable is None:
-            stable = is_stable(rec.f)
-        if verdict.status == "criterion_fails" and stable:
+        out["obstruction"] = asdict(obstruction)
+        if verdict.status == "criterion_fails" and is_stable(rec.f):
             out["status"] = "dimension_obstruction"
             out["detail"] = (verdict.detail + "; " + obstruction.detail)
     return out
@@ -155,14 +154,10 @@ def build_report(rec: CurveRecord, max_degree: Optional[int] = None
         alpha = None
 
     tables = {}
-    for name in MODULE_TABLES:
-        lo = 0
-        tables[name] = {"start": lo,
-                        "values": table_values(f, name, lo, top)}
-    for name in BUNDLE_TABLES:
-        lo = -3
-        tables[name] = {"start": lo,
-                        "values": table_values(f, name, lo, top)}
+    for names, lo in ((MODULE_TABLES, 0), (BUNDLE_TABLES, -3)):
+        for name in names:
+            tables[name] = {"start": lo,
+                            "values": table_values(f, name, lo, top)}
 
     stable = is_stable(f)
     sufficient = (stability_sufficient(d, alpha)
@@ -171,14 +166,9 @@ def build_report(rec: CurveRecord, max_degree: Optional[int] = None
     chern = numerics(d, tau_val)
 
     try:
-        gc = genus_sum_check(rec)
-        genus = {"h1": gc.h1, "genus_sum": gc.genus_sum,
-                 "matches": gc.matches, "cross_check_ok": gc.cross_check_ok,
-                 "passed": gc.passed}
+        genus = asdict(genus_sum_check(rec))
     except NotNodal:
         genus = None
-
-    torelli = torelli_report(rec, stable=stable)
 
     data = {
         "schema": SCHEMA_VERSION,
@@ -209,15 +199,8 @@ def build_report(rec: CurveRecord, max_degree: Optional[int] = None
             "stable": stable,
             "sufficient_criterion_applies": sufficient,
         },
-        "freeness": {
-            "free": free_verdict.free,
-            "exponents": _jsonable(free_verdict.exponents),
-            "defect_module_vanishes": free_verdict.defect_module_vanishes,
-            "split_test": free_verdict.split_test,
-            "methods_agree": free_verdict.methods_agree,
-            "witness_degree": free_verdict.witness_degree,
-        },
-        "torelli": torelli,
+        "freeness": _jsonable(asdict(free_verdict)),
+        "torelli": torelli_report(rec),
         "genus_check": genus,
     }
     return AnalysisReport(data)
@@ -235,76 +218,56 @@ class ExpectationResult:
     ok: bool
 
 
-def _module_torelli(rec):
-    _, kappa, _ = _sing_counts(rec.sings)
-    return torelli_nodal(rec) if kappa == 0 else torelli_cuspidal(rec)
-
-
 def check_expectations(rec: CurveRecord) -> list:
     """Compute every expected invariant of a record and compare.  Results
     already kept on rec.f by earlier calls are reused, not recomputed.
     Returns one result per expectation key, in sorted key order."""
     f = rec.f
+    d = f.degree
+    n, kappa, _ = _sing_counts(rec.sings)
+    free_verdict = cache(lambda: freeness(f))
+    # key -> computed value, given the expected value (profile keys take
+    # their length or degrees from it)
+    computed = {
+        "tau": lambda want: tau(f),
+        "mdr": lambda want: mdr(f),
+        "ct": lambda want: ct(f),
+        "alpha": lambda want: alpha_curve(rec.sings),
+        "stable": lambda want: is_stable(f),
+        "free": lambda want: free_verdict().free,
+        "exponents": lambda want: free_verdict().exponents,
+        "discriminant": lambda want: numerics(d, tau(f)).discriminant,
+        "ar_profile": lambda want: tuple(ar_dim(f, m)
+                                         for m in range(len(want))),
+        "ar_at": lambda want: tuple((m, ar_dim(f, m)) for m, _ in want),
+        "h0m_profile": lambda want: tuple(h0m_dim(f, k)
+                                          for k in range(len(want))),
+        "h0m_at": lambda want: tuple((k, h0m_dim(f, k)) for k, _ in want),
+        "defect_profile": lambda want: tuple(defect(f, k)
+                                             for k in range(len(want))),
+        "genus_h1": lambda want: h1_tangent(f, d - 3),
+        "torelli_status": lambda want: _criterion(rec)[1].status,
+        "torelli_witness": lambda want: _criterion(rec)[1].witness_degree,
+        "severi": lambda want: severi_dim(d, n, kappa),
+        "moduli": lambda want: moduli_dim(d, n, kappa),
+        "obstructed": lambda want: (dimension_obstruction(d, n, kappa)
+                                    is not None),
+    }
     results = []
-
-    def add(key, expected, computed, ok=None):
-        results.append(ExpectationResult(
-            rec.name, key, repr(expected), repr(computed),
-            (computed == expected) if ok is None else ok))
-
-    exp = rec.expected
-    for key in sorted(exp):
-        want = exp[key]
-        if key == "tau":
-            add(key, want, tau(f))
-        elif key == "mdr":
-            add(key, want, mdr(f))
-        elif key == "ct":
-            add(key, want, ct(f))
-        elif key == "alpha":
-            add(key, want, alpha_curve(rec.sings))
-        elif key == "stable":
-            add(key, want, is_stable(f))
-        elif key == "free":
-            verdict = freeness(f)
-            ok = verdict.free == want and verdict.methods_agree
-            add(key, want, verdict.free, ok)
-        elif key == "exponents":
-            add(key, want, freeness(f).exponents)
-        elif key == "discriminant":
-            add(key, want, numerics(f.degree, tau(f)).discriminant)
-        elif key == "ar_profile":
-            got = tuple(ar_dim(f, m) for m in range(len(want)))
-            add(key, want, got)
-        elif key == "ar_at":
-            got = tuple((m, ar_dim(f, m)) for m, _ in want)
-            add(key, want, got)
-        elif key == "h0m_profile":
-            got = tuple(h0m_dim(f, k) for k in range(len(want)))
-            add(key, want, got)
+    for key in sorted(rec.expected):
+        want = rec.expected[key]
+        if key not in computed:
+            got, ok = "<unknown expectation key>", False
+        else:
+            got = computed[key](want)
+            ok = got == want
+        if key == "free":
+            # the verdict counts only when both freeness methods agree
+            ok = ok and free_verdict().methods_agree
         elif key == "h0m_at":
-            got = tuple((k, h0m_dim(f, k)) for k, _ in want)
+            # an expected None stands for "nonzero"
             ok = all((v is None and g >= 1) or g == v
                      for (_, v), (_, g) in zip(want, got))
-            add(key, want, got, ok)
-        elif key == "defect_profile":
-            got = tuple(defect(f, k) for k in range(len(want)))
-            add(key, want, got)
-        elif key == "genus_h1":
-            add(key, want, h1_tangent(f, f.degree - 3))
-        elif key == "torelli_status":
-            add(key, want, _module_torelli(rec).status)
-        elif key == "torelli_witness":
-            add(key, want, _module_torelli(rec).witness_degree)
-        elif key in ("severi", "moduli", "obstructed"):
-            n, kappa, _ = _sing_counts(rec.sings)
-            if key == "severi":
-                add(key, want, severi_dim(f.degree, n, kappa))
-            elif key == "moduli":
-                add(key, want, moduli_dim(f.degree, n, kappa))
-            else:
-                ob = dimension_obstruction(f.degree, n, kappa)
-                add(key, want, ob is not None)
-        else:
-            add(key, want, "<unknown expectation key>", False)
+        results.append(ExpectationResult(rec.name, key, repr(want),
+                                         repr(got), ok))
     return results

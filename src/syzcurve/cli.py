@@ -23,8 +23,9 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .analysis import (UnknownInvariant, build_report, check_expectations,
-                       table_values, torelli_report)
+from .analysis import (BUNDLE_TABLES, MODULE_TABLES, UnknownInvariant,
+                       build_report, check_expectations, table_values,
+                       torelli_report)
 from .curvecat import (CurveFileSyntax, VerificationFailed, catalog,
                        load_curve_file, lookup)
 from .logbundle import NegativeH2, freeness, is_stable, stability_sufficient
@@ -101,7 +102,7 @@ def _print_report(report, seconds: float) -> None:
     b = data["bundle"]
     print("bundle     c1=%d  c2=%d  chi=%d  discriminant=%d"
           % (b["c1"], b["c2"], b["chi"], b["discriminant"]))
-    for name in ("ar", "er", "milnor", "defect", "h0", "h1", "h2"):
+    for name in MODULE_TABLES + BUNDLE_TABLES:
         t = data["tables"][name]
         print("%-10s %s" % (name + "[" + str(t["start"]) + "..]",
                             " ".join(str(v) for v in t["values"])))
@@ -195,8 +196,6 @@ def _parse_range(text: str):
 def _cmd_table(args) -> int:
     rec = _resolve_curve(args.curve)
     lo, hi = _parse_range(args.range)
-    if args.max_degree is not None:
-        hi = min(hi, args.max_degree)
     try:
         values = table_values(rec.f, args.invariant, lo, hi)
     except UnknownInvariant as e:
@@ -281,12 +280,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("table", help="print one graded invariant over a range")
-    p.add_argument("invariant",
-                   help="one of: ar, er, milnor, defect, h0, h1, h2")
+    p.add_argument("invariant", help="one of: " + ", ".join(
+        MODULE_TABLES + BUNDLE_TABLES))
     add_curve_arg(p)
     p.add_argument("range", help="inclusive degree range, e.g. 0..3")
-    p.add_argument("--max-degree", type=int, metavar="K",
-                   help="cap the upper end of the range")
     p.set_defaults(func=_cmd_table)
 
     for name, func, desc in (

@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .ring3 import HPoly, ProjPoint, parse
-from .singcat import DeclaredSing, SingType, verify_declared
+from .singcat import NODE, DeclaredSing, SingType, verify_declared
+from .syzygy import ar_dim
 
 
 class VerificationFailed(ValueError):
@@ -352,13 +353,28 @@ def lookup(name: str) -> CurveRecord:
 def verify_record(rec: CurveRecord, complete: bool = False):
     """Run the declared-data verification; raise VerificationFailed with
     the failing checks listed.  With `complete`, a record that declares no
-    singularity claims a smooth curve (see verify_declared)."""
+    singularity claims a smooth curve (see verify_declared).
+
+    A record whose declared singularities are all nodes (an empty one
+    with `complete` too) must have ar_dim(f, d-2) = components - 1: with n
+    nodes, tau = n and the genus sum is C(d-1, 2) - n + components - 1, so
+    this is genus_sum_check's two identities, h^1 = the genus sum and
+    ar_dim(f, d-2) = h^1 - (C(d-1, 2) - tau), taken together.
+    """
     report = verify_declared(rec.f, rec.sings, complete)
     if not report.passed:
         raise VerificationFailed(
             "%s: %s" % (rec.name,
                         "; ".join(c.name + " -- " + c.detail
                                   for c in report.failures())))
+    if (rec.sings or complete) and all(s.stype == NODE for s in rec.sings):
+        d = rec.degree
+        computed = ar_dim(rec.f, d - 2) + 1
+        if computed != rec.components:
+            raise VerificationFailed(
+                "%s: the nodal curve of degree %d declares %d components, "
+                "but ar_dim(f, %d) + 1 gives %d"
+                % (rec.name, d, rec.components, d - 2, computed))
     return report
 
 

@@ -42,23 +42,6 @@ class QMatrix:
             flat.extend(r)
         return cls(nrows, ncols, flat)
 
-    @classmethod
-    def from_columns(cls, collists) -> "QMatrix":
-        collists = [list(c) for c in collists]
-        ncols = len(collists)
-        nrows = len(collists[0]) if collists else 0
-        flat = []
-        for i in range(nrows):
-            for c in collists:
-                if len(c) != nrows:
-                    raise ValueError("ragged columns")
-                flat.append(c[i])
-        return cls(nrows, ncols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
     def row(self, i: int) -> list:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 

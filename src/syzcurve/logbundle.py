@@ -16,6 +16,7 @@ from math import comb
 from typing import Optional
 
 from .ring3 import HPoly
+from .singcat import NODE
 from .syzygy import RelationViolated, ar_dim, h0m_dim, mdr, tau
 
 
@@ -144,8 +145,7 @@ def freeness(f: HPoly) -> FreenessVerdict:
             "du Plessis-Wall bounds fail at degree %d: tau = %d, r = %d, "
             "bounds %d..%d" % (d, t, r_cap, lower, upper))
     split = (r is not None and 2 * r <= d - 1
-             and r * (d - 1 - r) == (d - 1) ** 2 - t
-             and ar_dim(f, r) >= 1)
+             and r * (d - 1 - r) == (d - 1) ** 2 - t)
 
     exponents = (r, d - 1 - r) if (vanishes and r is not None) else None
     return FreenessVerdict(vanishes, exponents, vanishes, split,
@@ -167,7 +167,7 @@ def genus_sum_check(curve) -> GenusCheck:
     components.  Cross-checked against the syzygy count in degree d-2.
     Raises NotNodal if a declared singularity is not an ordinary node."""
     for s in curve.sings:
-        if not (s.stype.kind == "A" and s.stype.params == (1,)):
+        if s.stype != NODE:
             raise NotNodal("declared singularity %s is not a node" % s.stype)
     if curve.component_genera is None:
         raise NotNodal("curve record declares no component genera")

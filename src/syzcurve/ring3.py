@@ -78,10 +78,6 @@ def _basis_index(k: int) -> dict:
     return {m: i for i, m in enumerate(mono_basis(k))}
 
 
-def mono_index(m: Mono) -> int:
-    return _basis_index(m.degree)[m]
-
-
 class HPoly:
     """Homogeneous polynomial of a fixed total degree.
 
@@ -133,9 +129,6 @@ class HPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, m) -> Fraction:
-        return self.terms.get(Mono(*m), Fraction(0))
-
     def coeff_vector(self) -> list:
         """Coefficients against mono_basis(degree), canonical order."""
         return [self.terms.get(m, Fraction(0)) for m in mono_basis(self.degree)]
@@ -159,7 +152,7 @@ class HPoly:
         lc = self.terms[self.leading_monomial()]
         if lc == 1:
             return self
-        return self * Fraction(1, 1) / lc
+        return self * (1 / lc)
 
     def __add__(self, other: "HPoly") -> "HPoly":
         if self.degree != other.degree:
@@ -189,21 +182,6 @@ class HPoly:
         return HPoly(self.degree, {m: v * c for m, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "HPoly":
-        return self * (Fraction(1, 1) / Fraction(scalar))
-
-    def __pow__(self, n: int) -> "HPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = HPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         return (isinstance(other, HPoly) and self.degree == other.degree
@@ -239,11 +217,6 @@ class HPoly:
 
     def __repr__(self):
         return "HPoly(%s)" % self
-
-
-X = HPoly.variable("x")
-Y = HPoly.variable("y")
-Z = HPoly.variable("z")
 
 
 def partials(f: HPoly) -> tuple:

@@ -102,6 +102,11 @@ class SingType:
         return "T(2,%d,%d)" % self.params
 
 
+# the two types the genus, component and Torelli criteria are stated for
+NODE = SingType.A(1)
+CUSP = SingType.A(2)
+
+
 @dataclass(frozen=True)
 class DeclaredSing:
     """A declared singular point of a curve.
@@ -142,9 +147,7 @@ def local_numbers(t: SingType) -> tuple:
     """Local (Milnor, Tjurina) numbers of the germ."""
     k = t.kind
     p = t.params
-    if k in ("A", "D"):
-        return (p[0], p[0])
-    if k == "E":
+    if k in ("A", "D", "E"):
         return (p[0], p[0])
     if k == "ORD":
         m = p[0]

@@ -46,10 +46,6 @@ class SyzygyTriple(NamedTuple):
     b: HPoly
     c: HPoly
 
-    def is_relation(self, f: HPoly) -> bool:
-        fx, fy, fz = partials(f)
-        return (self.a * fx + self.b * fy + self.c * fz).is_zero()
-
 
 def _results(f: HPoly) -> dict:
     """The results already computed for f, keyed by (kind, degree).
@@ -159,9 +155,10 @@ def koszul_dim(f: HPoly, m: int) -> int:
 def er_dim(f: HPoly, m: int) -> int:
     """Dimension of the degree-m piece of the essential (non-trivial)
     relation module: ar_dim minus the span of the trivial relations.
-    NotReduced for a curve that is not reduced (koszul_dim)."""
-    a = ar_dim(f, m)
+    NotReduced for a curve that is not reduced (koszul_dim), raised before
+    the Jacobian rank of ar_dim is eliminated."""
     k = koszul_dim(f, m)
+    a = ar_dim(f, m)
     if a < k:
         raise RelationViolated("trivial relations exceed all relations at m=%d" % m)
     return a - k
@@ -179,20 +176,6 @@ def mdr(f: HPoly) -> int | None:
 def milnor_dim(f: HPoly, k: int) -> int:
     """Dimension of the degree-k piece of S/(f_x, f_y, f_z)."""
     return dim_graded(k) - jacobian_dim(f, k)
-
-
-def smooth_milnor_dim(d: int, k: int) -> int:
-    """Degree-k coefficient of ((1 - t^(d-1)) / (1 - t))^3, the Milnor
-    algebra Hilbert function shared by all smooth curves of degree d."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    total = 0
-    sign = 1
-    binom3 = (1, 3, 3, 1)
-    for i in range(4):
-        total += sign * binom3[i] * dim_graded(k - i * (d - 1))
-        sign = -sign
-    return total
 
 
 # (a, b) in the certificate's pair f_x + a f_z, f_y + b f_z, tried in order
@@ -254,23 +237,15 @@ def tau(f: HPoly) -> int:
 
 def ct(f: HPoly) -> int:
     """Largest q such that the Milnor algebra agrees with the smooth one in
-    every degree <= q.  Requires f singular; cross-checked against
-    mdr(f) + d - 2."""
+    every degree <= q; ValueError if they agree through 3(d-2) + 1.  In
+    degree k they differ by er_dim(f, k - d + 1), because the partials of
+    a smooth curve have only the trivial relations, so ct = mdr + d - 2."""
     d = f.degree
     top = 3 * (d - 2) + 1
-    found = None
-    for k in range(0, top + 1):
-        if milnor_dim(f, k) != smooth_milnor_dim(d, k):
-            found = k - 1
-            break
-    if found is None:
-        raise ValueError("Milnor algebra looks smooth through degree %d" % top)
     r = mdr(f)
-    if r is None or found != r + d - 2:
-        raise RelationViolated(
-            "coincidence threshold %d does not equal mdr + d - 2 = %s"
-            % (found, "infinity" if r is None else r + d - 2))
-    return found
+    if r is None or r + d - 1 > top:
+        raise ValueError("Milnor algebra looks smooth through degree %d" % top)
+    return r + d - 2
 
 
 def _monomial_shift_index(k: int, t: int, var: int) -> list:

@@ -16,6 +16,7 @@ from typing import Optional
 from .exactlin import QMatrix, kernel_basis
 from .polygcd import gcd_many
 from .ring3 import HPoly, ProjPoint, eval_at, mono_basis, partials
+from .singcat import CUSP, NODE
 
 
 class NotNodalCurve(ValueError):
@@ -47,20 +48,17 @@ def _eval_row(mono_list, point):
 
 
 def _tangent_direction(point: ProjPoint, tangent: HPoly) -> tuple:
-    """A second point spanning the tangent line, independent of `point`."""
+    """A second point of the tangent line l through p: the cross product
+    l x p, which lies on l and is not p, since (l x p) . p = 0 < p . p over
+    Q.  Any second point of l spans the same derivative condition modulo
+    the vanishing one (by Euler's relation, the derivative along p is a
+    multiple of the value at p), so the system does not depend on which."""
     if eval_at(tangent, point) != 0:
         raise TangentNotThroughPoint(
             "tangent %s does not pass through %s" % (tangent, point))
-    coeffs = [tangent.coeff_vector()[i] for i in range(3)]
-    line = QMatrix.from_rows([coeffs])
+    a, b, c = tangent.coeff_vector()
     px, py, pz = point.coords
-    for v in kernel_basis(line):
-        vx, vy, vz = v
-        cross = (py * vz - pz * vy, pz * vx - px * vz, px * vy - py * vx)
-        if any(c != 0 for c in cross):
-            return (vx, vy, vz)
-    raise TangentNotThroughPoint(
-        "tangent %s is degenerate at %s" % (tangent, point))
+    return (b * pz - c * py, c * px - a * pz, a * py - b * px)
 
 
 def _derivative_row(mono_list, point, direction):
@@ -73,21 +71,9 @@ def _derivative_row(mono_list, point, direction):
     return row
 
 
-def _solve_system(m: int, rows) -> LinearSystem:
-    monos = mono_basis(m)
-    if not rows:
-        basis = tuple(HPoly.monomial(mo) for mo in monos)
-        return LinearSystem(m, basis)
-    mat = QMatrix.from_rows(rows)
-    basis = tuple(HPoly.from_coeff_vector(m, v) for v in kernel_basis(mat))
-    return LinearSystem(m, basis)
-
-
 def linear_system_points(points, m: int) -> LinearSystem:
     """Forms of degree m vanishing at every given point."""
-    monos = mono_basis(m)
-    rows = [_eval_row(monos, p) for p in points]
-    return _solve_system(m, rows)
+    return linear_system_cusps(points, (), m)
 
 
 def linear_system_cusps(nodes, cusps, m: int) -> LinearSystem:
@@ -101,7 +87,10 @@ def linear_system_cusps(nodes, cusps, m: int) -> LinearSystem:
         direction = _tangent_direction(point, tangent)
         rows.append(_eval_row(monos, point))
         rows.append(_derivative_row(monos, point, direction))
-    return _solve_system(m, rows)
+    # sized by the monomials, so that with no condition every one is free
+    mat = QMatrix(len(rows), len(monos), [c for row in rows for c in row])
+    return LinearSystem(m, tuple(HPoly.from_coeff_vector(m, v)
+                                 for v in kernel_basis(mat)))
 
 
 def base_locus_zero_dim(system: LinearSystem) -> bool:
@@ -118,20 +107,17 @@ class TorelliVerdict:
     by_count: bool
     detail: str
 
-    @property
-    def decided(self) -> bool:
-        return self.status == "torelli"
 
-
-def _node_points(sings):
-    points = []
-    for s in sings:
-        if not (s.stype.kind == "A" and s.stype.params == (1,)):
-            raise NotNodalCurve("declared singularity %s is not a node" % s.stype)
-        if s.point is None:
-            raise NotNodalCurve("node without a declared point")
-        points.append(s.point)
-    return points
+def _first_witness(system_of, bound) -> Optional[int]:
+    """The least m >= 1 with 2m < bound whose linear system system_of(m)
+    is nonzero with zero-dimensional base locus, or None."""
+    m = 1
+    while 2 * m < bound:
+        system = system_of(m)
+        if system.dim > 0 and base_locus_zero_dim(system):
+            return m
+        m += 1
+    return None
 
 
 def torelli_nodal(curve) -> TorelliVerdict:
@@ -140,20 +126,24 @@ def torelli_nodal(curve) -> TorelliVerdict:
     through the nodes are nonzero with zero-dimensional base locus.  The
     criterion is sufficient only: exhausting the search returns
     "criterion_fails", never a disproof."""
-    points = _node_points(curve.sings)
+    points = []
+    for s in curve.sings:
+        if s.stype != NODE:
+            raise NotNodalCurve("declared singularity %s is not a node" % s.stype)
+        if s.point is None:
+            raise NotNodalCurve("node without a declared point")
+        points.append(s.point)
     if not points:
         raise NotNodalCurve("curve declares no nodes; the nodal criterion "
                             "needs a singular curve")
     d = curve.f.degree
     limit = (d - 1) if curve.irreducible else (d - 2)
-    m = 1
-    while 2 * m < limit:
-        system = linear_system_points(points, m)
-        if system.dim > 0 and base_locus_zero_dim(system):
-            return TorelliVerdict("torelli", m, False,
-                                  "degree-%d system through the %d nodes has "
-                                  "zero-dimensional base locus" % (m, len(points)))
-        m += 1
+    witness = _first_witness(lambda m: linear_system_points(points, m), limit)
+    if witness is not None:
+        return TorelliVerdict("torelli", witness, False,
+                              "degree-%d system through the %d nodes has "
+                              "zero-dimensional base locus"
+                              % (witness, len(points)))
     return TorelliVerdict("criterion_fails", None, False,
                           "no admissible witness degree below %s/2" % limit)
 
@@ -182,44 +172,32 @@ def torelli_cuspidal(curve) -> TorelliVerdict:
                                     "curve")
     nodes = []
     cusps = []
-    searchable = True
     missing = 0
     for s in curve.sings:
-        if s.stype.kind != "A" or s.stype.params[0] not in (1, 2):
+        if s.stype not in (NODE, CUSP):
             raise WrongSingularityTypes(
                 "declared singularity %s is neither a node nor a cusp" % s.stype)
-        if s.stype.params[0] == 1:
-            if s.point is None:
-                searchable = False
-                missing += 1
-            else:
-                nodes.append(s.point)
+        if s.stype == NODE and s.point is not None:
+            nodes.append(s.point)
+        elif s.stype == CUSP and s.point is not None and s.tangent is not None:
+            cusps.append((s.point, s.tangent))
         else:
-            if s.point is None or s.tangent is None:
-                searchable = False
-                missing += 1
-            else:
-                cusps.append((s.point, s.tangent))
-    n = sum(1 for s in curve.sings if s.stype.params[0] == 1)
-    kappa = sum(1 for s in curve.sings if s.stype.params[0] == 2)
+            missing += 1
+    n = sum(1 for s in curve.sings if s.stype == NODE)
+    kappa = len(curve.sings) - n
 
     def find_witness():
-        m = 1
-        while Fraction(2 * m) < Fraction(5 * d, 6) - 2:
-            system = linear_system_cusps(nodes, cusps, m)
-            if system.dim > 0 and base_locus_zero_dim(system):
-                return m
-            m += 1
-        return None
+        return _first_witness(lambda m: linear_system_cusps(nodes, cusps, m),
+                              Fraction(5 * d, 6) - 2)
 
     count_ok = Fraction(n + 2 * kappa) <= Fraction(5 * d, 12) - 1
     if count_ok:
-        witness = find_witness() if searchable else None
+        witness = find_witness() if not missing else None
         detail = "%d + 2*%d <= 5*%d/12 - 1" % (n, kappa, d)
         if witness is not None:
             detail += "; witness degree %d attached" % witness
         return TorelliVerdict("torelli", witness, True, detail)
-    if not searchable:
+    if missing:
         return TorelliVerdict(
             "criterion_fails", None, False,
             "count criterion fails and %d declared singularities lack the "

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from syzcurve import HPoly, QMatrix, mono_basis, partials, rank
+from syzcurve import HPoly, QMatrix, dim_graded, mono_basis, partials, rank
 
 # a generic arrangement of nine lines (no three concurrent); its first d
 # lines give the benchmark's degree-ladder curve of degree d
@@ -65,7 +65,15 @@ def koszul_rank(f, m) -> int:
         for a, b, c in triples:
             cols.append((um * a).coeff_vector() + (um * b).coeff_vector()
                         + (um * c).coeff_vector())
-    return rank(QMatrix.from_columns(cols)) if cols else 0
+    return rank(QMatrix.from_rows(cols)) if cols else 0
+
+
+def smooth_milnor_dim(d: int, k: int) -> int:
+    """Degree-k coefficient of ((1 - t^(d-1)) / (1 - t))^3, the Milnor
+    algebra Hilbert function shared by all smooth curves of degree d: the
+    oracle that ct's definition compares milnor_dim against."""
+    return sum((-1) ** i * c * dim_graded(k - i * (d - 1))
+               for i, c in enumerate((1, 3, 3, 1)))
 
 
 def line_product(lines) -> HPoly:

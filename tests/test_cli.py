@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON determinism, and
 corpus parallel/serial agreement."""
+import ast
 import importlib
 import inspect
 import json
@@ -73,6 +74,20 @@ class TestAnalyze:
         assert code == 2
         assert "verification failed" in err
         assert "declared 0, computed 3" in err
+        assert out == ""
+
+    def test_wrong_component_count_exit_2(self, capsys, tmp_path):
+        # three lines, declared as two components: the three nodes pass,
+        # and ar_dim(f, d - 2) + 1 = 3 contradicts the declared count
+        path = tmp_path / "two.curve"
+        path.write_text("name = two\nf = x*y*z\nirreducible = false\n"
+                        "components = 2\n"
+                        "sing = (1:0:0) A1 ; (0:1:0) A1 ; (0:0:1) A1\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err == ("verification failed: two: the nodal curve of degree "
+                       "3 declares 2 components, but ar_dim(f, 1) + 1 gives "
+                       "3\n")
         assert out == ""
 
     @pytest.mark.parametrize("poly, factor", [
@@ -283,3 +298,42 @@ class TestUsage:
             matrix = params[1] if name == "in_span" else params[0]
             assert (typing.get_type_hints(func)[matrix]
                     is exactlin.QMatrix), name
+
+    def test_public_functions_have_callers_in_the_package(self):
+        # A public function or method that nothing else in the package
+        # refers to is surface for the tests alone.  The exceptions: the
+        # functions the benchmark traces, and user API (HPoly.variable
+        # builds the benchmark's line arrangements).  Docstrings and
+        # __init__'s re-exports are no reference.
+        root = Path(__file__).parent.parent
+        defined, units = [], []
+        for path in sorted((root / "src" / "syzcurve").glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.parse(path.read_text()).body:
+                members = [node]
+                if (isinstance(node, ast.ClassDef)
+                        and not node.name.startswith("_")):
+                    members = node.body
+                    defined += [(path.stem + "." + node.name, item)
+                                for item in node.body
+                                if isinstance(item, ast.FunctionDef)]
+                elif isinstance(node, ast.FunctionDef):
+                    defined.append((path.stem, node))
+                units += members
+        names = [{n.id if isinstance(n, ast.Name) else n.attr
+                  for n in ast.walk(unit)
+                  if isinstance(n, (ast.Name, ast.Attribute))}
+                 for unit in units]
+        unreferenced = {
+            owner + "." + node.name for owner, node in defined
+            if not node.name.startswith("_")
+            and not any(node.name in refs for unit, refs in zip(units, names)
+                        if unit is not node)}
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        traced = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]}
+        allowed_traced = {"polygcd.divides", "syzygy.ar_basis"}
+        assert allowed_traced <= traced
+        assert unreferenced == allowed_traced | {
+            "ring3.linear_change", "singcat.kouchnirenko_mu",
+            "torelli.torelli_nodal_count", "ring3.HPoly.variable"}

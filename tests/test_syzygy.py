@@ -14,12 +14,13 @@ from syzcurve import (CurveRecord, NotReduced, QMatrix, ar_basis, ar_dim,
                       freeness, gcd_many, gradient_matrix, h0m_dim,
                       jacobian_dim, kernel_basis, koszul_dim, mdr,
                       milnor_dim, mono_basis, parse, rank, sat_basis,
-                      saturation_dim, smooth_milnor_dim, table_values, tau)
-from syzcurve.curvecat import lookup, non_ts_family
+                      saturation_dim, table_values, tau)
+from syzcurve.curvecat import lookup, non_ts_family, thom_sebastiani
 from syzcurve.ring3 import Mono, _basis_index, mult_matrix, partials
 from syzcurve.syzygy import _jac_left_kernel, _results, jacobian_rows
 
-from conftest import LADDER_LINES, hpolys, koszul_rank, line_product
+from conftest import (LADDER_LINES, hpolys, koszul_rank, line_product,
+                      smooth_milnor_dim)
 
 TRIANGLE = parse("x*y*z")
 FERMAT3 = parse("x^3 + y^3 + z^3")
@@ -134,11 +135,12 @@ class TestRelations:
 
     def test_ar_basis_members_are_relations(self):
         for f in (TRIANGLE, NODAL, C222):
+            fx, fy, fz = partials(f)
             for m in range(0, 5):
                 basis = ar_basis(f, m)
                 assert len(basis) == ar_dim(f, m)
-                for triple in basis:
-                    assert triple.is_relation(f)
+                for a, b, c in basis:
+                    assert (a * fx + b * fy + c * fz).is_zero()
 
     def test_koszul_formula_consistency(self):
         # koszul_dim's closed formula against an elimination of the span
@@ -182,6 +184,31 @@ class TestScalarInvariants:
         for f in (TRIANGLE, NODAL, CUSP, C222):
             assert ct(f) == mdr(f) + f.degree - 2
 
+    @pytest.mark.parametrize(
+        "name", [rec.name for rec in catalog() if rec.sings])
+    def test_ct_is_the_last_degree_agreeing_with_smooth(self, name):
+        # the definition of ct, scanned on a fresh copy: the first degree
+        # where the Milnor algebra differs from a smooth one, minus 1
+        f = parse(str(lookup(name).f))
+        d = f.degree
+        first = next(k for k in range(3 * (d - 2) + 2)
+                     if milnor_dim(f, k) != smooth_milnor_dim(d, k))
+        assert ct(f) == first - 1
+
+    @pytest.mark.parametrize(
+        "rec", list(catalog()) + [thom_sebastiani(1, 4),
+                                  non_ts_family(2, 2, 3),
+                                  non_ts_family(3, 2, 3)],
+        ids=lambda rec: rec.name)
+    def test_milnor_minus_smooth_is_er(self, rec):
+        # the identity behind ct: the partials of a smooth curve have only
+        # the trivial relations, so the Milnor algebras differ by er
+        f = rec.f
+        d = f.degree
+        for k in range(3 * (d - 2) + 4):
+            assert (milnor_dim(f, k) - smooth_milnor_dim(d, k)
+                    == er_dim(f, k - d + 1)), k
+
     def test_smooth_milnor_symmetric(self):
         dims = [smooth_milnor_dim(3, k) for k in range(4)]
         assert dims == [1, 3, 3, 1]
@@ -200,7 +227,7 @@ class TestDegreeBelowTwo:
     @pytest.mark.parametrize("text", ["x", "x + y"])
     def test_rejected_naming_the_degree(self, text):
         f = parse(text)
-        for invariant in (tau, mdr):
+        for invariant in (tau, mdr, ct):
             with pytest.raises(ValueError, match="got degree 1"):
                 invariant(f)
         rec = CurveRecord(text, f, True, 1, None, ())
@@ -261,6 +288,15 @@ class TestNotReduced:
         with pytest.raises(NotReduced) as again:
             mdr(parse(text))
         assert str(again.value) == str(info.value)
+
+    def test_mdr_certifies_before_any_jacobian_rows(self, monkeypatch):
+        built = []
+        real = syzcurve.syzygy.jacobian_rows
+        monkeypatch.setattr(syzcurve.syzygy, "jacobian_rows",
+                            lambda f, t: built.append(t) or real(f, t))
+        with pytest.raises(NotReduced, match="repeats the factor x$"):
+            mdr(parse("x^2*y"))
+        assert built == []
 
     def test_mirror_degrees_refuse_non_reduced_input(self):
         # h0m self-duality needs a reduced curve, so no mirrored value is
@@ -464,9 +500,9 @@ def jacobian_span_equal(f, g):
     """Whether f and g have the same span of partial derivatives."""
     cols_f = [p.coeff_vector() for p in partials(f)]
     cols_g = [p.coeff_vector() for p in partials(g)]
-    rf = rank(QMatrix.from_columns(cols_f))
-    rg = rank(QMatrix.from_columns(cols_g))
-    rboth = rank(QMatrix.from_columns(cols_f + cols_g))
+    rf = rank(QMatrix.from_rows(cols_f))
+    rg = rank(QMatrix.from_rows(cols_g))
+    rboth = rank(QMatrix.from_rows(cols_f + cols_g))
     return rf == rg == rboth
 
 
@@ -489,7 +525,7 @@ def h0m_mult_kernel(f, g, m):
             vec[idx[mono]] = c
         cols.append([sum(Fraction(li) * vi for li, vi in zip(l, vec) if li and vi)
                      for l in lker])
-    mat = QMatrix.from_columns(cols)
+    mat = QMatrix.from_rows(cols).transpose()
     kdim = len(kernel_basis(mat))
     return kdim - jacobian_dim(f, m)
 
