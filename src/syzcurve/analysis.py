@@ -226,6 +226,7 @@ def check_expectations(rec: CurveRecord) -> list:
     d = f.degree
     n, kappa, _ = _sing_counts(rec.sings)
     free_verdict = cache(lambda: freeness(f))
+    torelli = cache(lambda: _criterion(rec)[1])
     # key -> computed value, given the expected value (profile keys take
     # their length or degrees from it)
     computed = {
@@ -246,8 +247,8 @@ def check_expectations(rec: CurveRecord) -> list:
         "defect_profile": lambda want: tuple(defect(f, k)
                                              for k in range(len(want))),
         "genus_h1": lambda want: h1_tangent(f, d - 3),
-        "torelli_status": lambda want: _criterion(rec)[1].status,
-        "torelli_witness": lambda want: _criterion(rec)[1].witness_degree,
+        "torelli_status": lambda want: torelli().status,
+        "torelli_witness": lambda want: torelli().witness_degree,
         "severi": lambda want: severi_dim(d, n, kappa),
         "moduli": lambda want: moduli_dim(d, n, kappa),
         "obstructed": lambda want: (dimension_obstruction(d, n, kappa)

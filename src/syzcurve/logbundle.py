@@ -127,6 +127,10 @@ def freeness(f: HPoly) -> FreenessVerdict:
     """
     d = f.degree
     top = 3 * (d - 2)
+    # mdr and tau certify f reduced, so the scan below can read h0m_dim
+    # above the regularity index without a saturation kernel
+    r = mdr(f)
+    t = tau(f)
     witness = None
     for k in range(top // 2, -1, -1):
         if h0m_dim(f, k) != 0:
@@ -134,8 +138,6 @@ def freeness(f: HPoly) -> FreenessVerdict:
             break
     vanishes = witness is None
 
-    r = mdr(f)
-    t = tau(f)
     r_cap = d - 1 if r is None else min(r, d - 1)
     lower = (d - 1) * (d - r_cap - 1)
     upper = lower + r_cap ** 2 - (comb(2 * r_cap - d + 2, 2)

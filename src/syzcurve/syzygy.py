@@ -19,6 +19,14 @@ is read off one elimination, the left kernel at T + 1, which saturation
 and freeness need anyway, once one small rank has certified that f is
 reduced (_certify_reduced); input that is not reduced raises NotReduced.
 
+Above T/2 a certified curve needs no wide elimination at all.  The defect
+module sat(J)/J is self-dual about T/2 (Sernesi 2014; van Straten and
+Warmt 2015), and the Hilbert function of the singular scheme never
+decreases and stops at tau from its regularity index k0 on (Eisenbud, The
+Geometry of Syzygies, ch. 4).  When k0 <= T/2, every Jacobian rank above
+T/2 is read off degree T - t, and every saturation dimension from k0 to
+T/2 is dim S_k - tau (jacobian_dim, h0m_dim, _regularity_index).
+
 Each curve's certificate, ranks, left kernels and saturation dimensions
 are kept on the polynomial itself, keyed by (kind, degree), and reused for
 as long as the polynomial lives.
@@ -86,12 +94,67 @@ def jacobian_rows(f: HPoly, t: int) -> QMatrix:
 
 def jacobian_dim(f: HPoly, t: int) -> int:
     """Dimension of the degree-t piece of the Jacobian ideal (f_x, f_y, f_z):
-    the rank of jacobian_rows(f, t)."""
+    the rank of jacobian_rows(f, t), or, above T/2 (T = 3(d-2)), the same
+    value read off the lower half.
+
+    With m = milnor_dim, c(k) = dim S_k - saturation_dim(f, k) the Hilbert
+    function of the singular scheme and n = h0m_dim, m = c + n.  c never
+    decreases and stops at tau from the regularity index k0 on (Eisenbud,
+    The Geometry of Syzygies, ch. 4), and n(t) = n(T - t) (Sernesi 2014;
+    van Straten and Warmt 2015).  So once f carries its reducedness
+    certificate and _regularity_index(f) finds k0 <= T/2, every t > T/2 has
+    m(t) = tau + m(T - t) - c(T - t), where m and c vanish in negative
+    degrees and c(s) = tau for s >= k0: one rank at degree T - t < T/2
+    instead of one at t.  A curve that is not certified yet, or whose k0
+    is above T/2, keeps the direct rank, so this never raises NotReduced.
+    """
     results = _results(f)
     key = ("jdim", t)
     if key not in results:
-        m = t - (f.degree - 1)
-        results[key] = 0 if m < 0 else rank(jacobian_rows(f, t))
+        k0 = _regularity_index(f) if 2 * t > 3 * (f.degree - 2) else None
+        if k0 is not None:
+            results[key] = dim_graded(t) - _mirrored_milnor_dim(f, t, k0)
+        else:
+            m = t - (f.degree - 1)
+            results[key] = 0 if m < 0 else rank(jacobian_rows(f, t))
+    return results[key]
+
+
+def _mirrored_milnor_dim(f: HPoly, t: int, k0: int) -> int:
+    """milnor_dim(f, t) for t > T/2 >= k0, as tau + m(T - t) - c(T - t)
+    (see jacobian_dim); RelationViolated if it leaves [tau, dim S_t]."""
+    d = f.degree
+    s = 3 * (d - 2) - t
+    tau_val = tau(f)
+    m_t = tau_val
+    if s >= 0:
+        c_s = (tau_val if s >= k0
+               else dim_graded(s) - saturation_dim(f, s))
+        m_t += milnor_dim(f, s) - c_s
+    if not tau_val <= m_t <= dim_graded(t):
+        raise RelationViolated(
+            "mirrored Milnor algebra dimension %d leaves [tau, dim S_t] = "
+            "[%d, %d] at degree %d, t=%d"
+            % (m_t, tau_val, dim_graded(t), d, t))
+    return m_t
+
+
+def _regularity_index(f: HPoly) -> int | None:
+    """The least k <= T/2 at which the singular scheme imposes tau
+    conditions on forms of degree k, dim S_k - saturation_dim(f, k) = tau,
+    or None when there is none; kept on f.  Only degrees with dim S_k >= tau
+    are eliminated, since fewer forms cannot meet tau conditions.  None,
+    and nothing kept, while f carries no reducedness certificate."""
+    results = _results(f)
+    if ("reduced", 2 * f.degree - 3) not in results:
+        return None
+    top = 3 * (f.degree - 2)
+    key = ("k0", top)
+    if key not in results:
+        t = tau(f)
+        results[key] = next(
+            (k for k in range(top // 2 + 1) if dim_graded(k) >= t
+             and dim_graded(k) - saturation_dim(f, k) == t), None)
     return results[key]
 
 
@@ -166,11 +229,13 @@ def er_dim(f: HPoly, m: int) -> int:
 
 def mdr(f: HPoly) -> int | None:
     """Minimal degree of a non-trivial relation; None when no such relation
-    exists in degrees up to 3(d-1)."""
-    for q in range(0, 3 * (f.degree - 1) + 1):
-        if er_dim(f, q):
-            return q
-    return None
+    exists in degrees up to 3(d-1).  Kept on f, None included."""
+    results = _results(f)
+    key = ("mdr", 3 * (f.degree - 1))
+    if key not in results:
+        results[key] = next(
+            (q for q in range(key[1] + 1) if er_dim(f, q)), None)
+    return results[key]
 
 
 def milnor_dim(f: HPoly, k: int) -> int:
@@ -304,15 +369,28 @@ def h0m_dim(f: HPoly, k: int) -> int:
     h0m(k) = h0m(T - k) (Sernesi 2014; van Straten and Warmt 2015).  So
     for T/2 < k <= T the value is read from degree T - k, behind
     _certify_reduced (NotReduced for input that is not reduced), and no
-    wide saturation kernel of the upper half is eliminated.  Every other
-    degree is saturation_dim(f, k) minus jacobian_dim(f, k);
-    saturation_dim and sat_basis stay direct at every k.
+    wide saturation kernel of the upper half is eliminated.  In the lower
+    half, once f carries its reducedness certificate, the Hilbert function
+    dim S_k - saturation_dim(f, k) of the singular scheme never decreases
+    and equals tau from the regularity index k0 on (Eisenbud, The Geometry
+    of Syzygies, ch. 4), so for k0 <= k <= T/2 (see _regularity_index) the
+    saturation dimension dim S_k - tau is kept under ("sat", k) without a
+    kernel.  Every degree is then saturation_dim(f, k) minus
+    jacobian_dim(f, k); sat_basis stays direct at every k.
     """
     top = 3 * (f.degree - 2)
     if top < 2 * k <= 2 * top:
         _certify_reduced(f)
         return h0m_dim(f, top - k)
-    val = saturation_dim(f, k) - jacobian_dim(f, k)
+    results = _results(f)
+    key = ("sat", k)
+    if key not in results:
+        k0 = _regularity_index(f) if 2 * k <= top else None
+        if k0 is not None and k >= k0:
+            results[key] = dim_graded(k) - tau(f)
+        else:
+            sat_basis(f, k)
+    val = results[key] - jacobian_dim(f, k)
     if val < 0:
         raise RelationViolated("saturation smaller than ideal at k=%d" % k)
     return val

@@ -4,6 +4,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from syzcurve import HPoly, QMatrix, dim_graded, mono_basis, partials, rank
+from syzcurve.syzygy import jacobian_rows
 
 # a generic arrangement of nine lines (no three concurrent); its first d
 # lines give the benchmark's degree-ladder curve of degree d
@@ -66,6 +67,13 @@ def koszul_rank(f, m) -> int:
             cols.append((um * a).coeff_vector() + (um * b).coeff_vector()
                         + (um * c).coeff_vector())
     return rank(QMatrix.from_rows(cols)) if cols else 0
+
+
+def direct_jacobian_dim(f, t) -> int:
+    """Rank of jacobian_rows(f, t): the dimension of the degree-t piece of
+    the Jacobian ideal by its own elimination, which jacobian_dim replaces
+    by a lower-half reading above T/2 once f is certified reduced."""
+    return rank(jacobian_rows(f, t))
 
 
 def smooth_milnor_dim(d: int, k: int) -> int:

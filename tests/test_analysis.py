@@ -126,3 +126,14 @@ class TestExpectationComparator:
                           frozenset(), {"nonsense": 1})
         results = check_expectations(rec)
         assert len(results) == 1 and not results[0].ok
+
+    def test_one_torelli_search_for_status_and_witness(self, monkeypatch):
+        import syzcurve.analysis
+        calls = []
+        real = syzcurve.analysis._criterion
+        monkeypatch.setattr(syzcurve.analysis, "_criterion",
+                            lambda rec: calls.append(rec.name) or real(rec))
+        rec = lookup("one_node_quartic")
+        assert {"torelli_status", "torelli_witness"} <= set(rec.expected)
+        assert all(r.ok for r in check_expectations(rec))
+        assert calls == ["one_node_quartic"]

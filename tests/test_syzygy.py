@@ -1,6 +1,7 @@
 """Graded syzygy invariants of the Jacobian ideal: relation modules, the
 minimal relation degree, coincidence threshold, Tjurina number, saturation,
 and defect dimensions."""
+import dataclasses
 import functools
 import time
 from fractions import Fraction
@@ -9,18 +10,20 @@ import pytest
 from hypothesis import assume, given, settings
 
 import syzcurve.syzygy
-from syzcurve import (CurveRecord, NotReduced, QMatrix, ar_basis, ar_dim,
-                      build_report, catalog, ct, defect, dim_graded, er_dim,
-                      freeness, gcd_many, gradient_matrix, h0m_dim,
-                      jacobian_dim, kernel_basis, koszul_dim, mdr,
-                      milnor_dim, mono_basis, parse, rank, sat_basis,
-                      saturation_dim, table_values, tau)
+from syzcurve import (CurveRecord, NotReduced, QMatrix, RelationViolated,
+                      ar_basis, ar_dim, build_report, catalog, ct, defect,
+                      dim_graded, er_dim, freeness, gcd_many,
+                      gradient_matrix, h0m_dim, jacobian_dim, kernel_basis,
+                      koszul_dim, linear_change, mdr, milnor_dim, mono_basis,
+                      parse, rank, sat_basis, saturation_dim, table_values,
+                      tau)
 from syzcurve.curvecat import lookup, non_ts_family, thom_sebastiani
 from syzcurve.ring3 import Mono, _basis_index, mult_matrix, partials
-from syzcurve.syzygy import _jac_left_kernel, _results, jacobian_rows
+from syzcurve.syzygy import (_jac_left_kernel, _regularity_index, _results,
+                             jacobian_rows)
 
-from conftest import (LADDER_LINES, hpolys, koszul_rank, line_product,
-                      smooth_milnor_dim)
+from conftest import (LADDER_LINES, direct_jacobian_dim, hpolys, koszul_rank,
+                      line_product, smooth_milnor_dim)
 
 TRIANGLE = parse("x*y*z")
 FERMAT3 = parse("x^3 + y^3 + z^3")
@@ -187,12 +190,14 @@ class TestScalarInvariants:
     @pytest.mark.parametrize(
         "name", [rec.name for rec in catalog() if rec.sings])
     def test_ct_is_the_last_degree_agreeing_with_smooth(self, name):
-        # the definition of ct, scanned on a fresh copy: the first degree
-        # where the Milnor algebra differs from a smooth one, minus 1
+        # the definition of ct, scanned with direct Jacobian ranks on a
+        # fresh copy: the first degree where the Milnor algebra differs
+        # from a smooth one, minus 1
         f = parse(str(lookup(name).f))
         d = f.degree
         first = next(k for k in range(3 * (d - 2) + 2)
-                     if milnor_dim(f, k) != smooth_milnor_dim(d, k))
+                     if dim_graded(k) - direct_jacobian_dim(f, k)
+                     != smooth_milnor_dim(d, k))
         assert ct(f) == first - 1
 
     @pytest.mark.parametrize(
@@ -236,11 +241,11 @@ class TestDegreeBelowTwo:
 
 
 def milnor_tail(f):
-    """milnor_dim at T, T + 1 and T + 2, T = 3(d - 2), from ranks of the
-    Jacobian pieces of a freshly parsed copy of f."""
-    g = parse(str(f))
-    t = 3 * (g.degree - 2)
-    return [milnor_dim(g, k) for k in (t, t + 1, t + 2)]
+    """The Milnor algebra dimension at T, T + 1 and T + 2, T = 3(d - 2),
+    from direct ranks of the Jacobian pieces of f."""
+    t = 3 * (f.degree - 2)
+    return [dim_graded(k) - direct_jacobian_dim(f, k)
+            for k in (t, t + 1, t + 2)]
 
 
 class TestTauFromOneDegree:
@@ -425,13 +430,22 @@ def self_dual_curve(name):
 @functools.cache
 def direct_rows(name):
     """h0m and defect over 0..T, T = 3(d - 2), every degree from its own
-    saturation kernel (sat_basis) and Jacobian rank, on a freshly parsed
-    copy: h0m = sat - jacobian_dim and defect = tau - (dim S_k - sat)."""
+    saturation kernel (sat_basis) and Jacobian rank (direct_jacobian_dim),
+    on a freshly parsed copy: h0m = sat - rank and defect = tau - (dim S_k
+    - sat)."""
     g = parse(str(self_dual_curve(name)))
     sat = [len(sat_basis(g, k)) for k in range(3 * (g.degree - 2) + 1)]
     t = tau(g)
-    return (tuple(s - jacobian_dim(g, k) for k, s in enumerate(sat)),
+    return (tuple(s - direct_jacobian_dim(g, k) for k, s in enumerate(sat)),
             tuple(t - (dim_graded(k) - s) for k, s in enumerate(sat)))
+
+
+def regularity_index(name):
+    """The least k <= T/2 with defect 0, that is with dim S_k - sat = tau,
+    from the direct rows; None when there is none."""
+    defects = direct_rows(name)[1]
+    return next((k for k, v in enumerate(defects[:(len(defects) + 1) // 2])
+                 if v == 0), None)
 
 
 def middle_out_freeness(name):
@@ -476,8 +490,11 @@ class TestSelfDuality:
 
     @pytest.mark.parametrize("name", SELF_DUAL_CURVES)
     def test_no_saturation_kernel_above_the_middle(self, name, monkeypatch):
+        # nor above the regularity index k0 <= T/2, where there is one: the
+        # saturation dimensions from k0 to T/2 are dim S_k - tau
         f = parse(str(self_dual_curve(name)))
         top = 3 * (f.degree - 2)
+        k0 = regularity_index(name)
         seen = []
         direct = syzcurve.syzygy.sat_basis
 
@@ -487,13 +504,94 @@ class TestSelfDuality:
         monkeypatch.setattr(syzcurve.syzygy, "sat_basis", spy)
         freeness(f)
         table_values(f, "h1", -3, f.degree)
-        assert seen and max(seen) <= top // 2
+        assert _regularity_index(f) == k0
+        assert seen and max(seen) <= (top // 2 if k0 is None else k0)
 
     @pytest.mark.parametrize("name", SELF_DUAL_CURVES)
     def test_half_scan_matches_full_middle_out_scan(self, name):
         v = freeness(parse(str(self_dual_curve(name))))
         assert ((v.free, v.exponents, v.witness_degree)
                 == middle_out_freeness(name))
+
+
+# 20 catalog curves, the ladder arrangements of degree 7, 8 and 9, and a
+# free arrangement of nine lines in general coordinates, whose regularity
+# index 11 lies above T/2 = 10.5
+MIRROR_CURVES = ([rec.name for rec in catalog()]
+                 + ["ladder_7", "ladder_8", "ladder_9", "free_nonic"])
+
+
+def mirror_curve(name):
+    if name == "free_nonic":
+        return linear_change(
+            parse("x*y*z*(x^2 - y^2)*(y^2 - z^2)*(x^2 - z^2)"),
+            [[1, 2, 3], [0, 1, 5], [1, 0, 1]])
+    if name.startswith("ladder_"):
+        return line_product(LADDER_LINES[:int(name[len("ladder_"):])])
+    return lookup(name).f
+
+
+@functools.cache
+def certified_copy(name):
+    """A freshly parsed copy of mirror_curve(name), certified reduced by
+    tau, shared by the tests that compare its values with direct ones."""
+    g = parse(str(mirror_curve(name)))
+    tau(g)
+    return g
+
+
+class TestUpperHalfFromLowerHalf:
+    """Once f is certified reduced and its singular scheme imposes tau
+    conditions from some k0 <= T/2 on (Eisenbud, The Geometry of Syzygies,
+    ch. 4), self-duality of the defect module gives every Jacobian rank
+    above T/2 from degree T - t, and every saturation dimension from k0 to
+    T/2 as dim S_k - tau.  Both are checked against direct eliminations."""
+
+    @pytest.mark.parametrize("name", MIRROR_CURVES)
+    def test_mirrored_ranks_match_direct(self, name):
+        f = mirror_curve(name)
+        g = certified_copy(name)
+        top = 3 * (g.degree - 2)
+        degrees = range(top // 2 + 1, max(top + 2, 2 * g.degree) + 1)
+        assert ([jacobian_dim(g, t) for t in degrees]
+                == [direct_jacobian_dim(f, t) for t in degrees])
+
+    @pytest.mark.parametrize(
+        "name", ["two_conics", "zariski_sextic", "family_2_2_2", "ladder_7"])
+    def test_report_builds_jacobian_rows_above_the_middle_only_at_t_plus_1(
+            self, name, monkeypatch):
+        f = parse(str(mirror_curve(name)))
+        top = 3 * (f.degree - 2)
+        if name.startswith("ladder_"):
+            rec = CurveRecord(name, f, False, f.degree, None, ())
+        else:
+            rec = dataclasses.replace(lookup(name), f=f)
+        built = []
+        real = syzcurve.syzygy.jacobian_rows
+        monkeypatch.setattr(syzcurve.syzygy, "jacobian_rows",
+                            lambda g, t: built.append(t) or real(g, t))
+        build_report(rec)
+        assert 2 * _regularity_index(f) <= top
+        assert [t for t in built if 2 * t > top] == [top + 1]
+
+    @pytest.mark.parametrize("name, values", [
+        ("free_nonic", (49, 3, True, (3, 5), (0,) * 22)),
+        ("ts_2_3", (12, 1, False, None, (0, 0, 0, 1, 1, 1, 1, 0, 0, 0)))])
+    def test_regularity_index_above_the_middle_keeps_the_direct_path(
+            self, name, values):
+        f = certified_copy(name)
+        v = freeness(f)
+        top = 3 * (f.degree - 2)
+        assert (tau(f), mdr(f), v.free, v.exponents,
+                tuple(h0m_dim(f, k) for k in range(top + 1))) == values
+        assert _regularity_index(f) is None
+
+    def test_mirror_outside_its_range_names_degree_and_t(self, monkeypatch):
+        f = parse(str(TRIANGLE))
+        tau(f)
+        monkeypatch.setattr(syzcurve.syzygy, "milnor_dim", lambda g, k: -5)
+        with pytest.raises(RelationViolated, match="at degree 3, t=3$"):
+            jacobian_dim(f, 3)
 
 
 def jacobian_span_equal(f, g):
@@ -566,6 +664,16 @@ class TestResultsOnPolynomial:
         g = parse(str(f))
         assert f == g and hash(f) == before == hash(g)
         assert len({f, g}) == 1
+
+    def test_mdr_is_kept_none_included(self, monkeypatch):
+        def refuse(f, q):
+            raise AssertionError("er_dim(%s, %d) recomputed" % (f, q))
+        for text, want in ((str(NODAL), 2), (str(FERMAT3), None)):
+            f = parse(text)
+            assert mdr(f) == want
+            with monkeypatch.context() as m:
+                m.setattr(syzcurve.syzygy, "er_dim", refuse)
+                assert mdr(f) == want
 
     def test_no_module_level_mutable_state(self):
         for name, value in vars(syzcurve.syzygy).items():
