@@ -218,10 +218,17 @@ class ExpectationResult:
     ok: bool
 
 
+# keys computed before the others: each certifies f reduced, which lets the
+# Jacobian ranks above T/2 behind ar_at and ar_profile be read off the lower
+# half instead of eliminated
+_CERTIFYING_KEYS = ("tau", "mdr", "ct")
+
+
 def check_expectations(rec: CurveRecord) -> list:
     """Compute every expected invariant of a record and compare.  Results
     already kept on rec.f by earlier calls are reused, not recomputed.
-    Returns one result per expectation key, in sorted key order."""
+    The expected tau, mdr and ct are computed first; the results come one
+    per expectation key, in sorted key order."""
     f = rec.f
     d = f.degree
     n, kappa, _ = _sing_counts(rec.sings)
@@ -255,7 +262,8 @@ def check_expectations(rec: CurveRecord) -> list:
                                     is not None),
     }
     results = []
-    for key in sorted(rec.expected):
+    for key in sorted(rec.expected,
+                      key=lambda k: (k not in _CERTIFYING_KEYS, k)):
         want = rec.expected[key]
         if key not in computed:
             got, ok = "<unknown expectation key>", False
@@ -271,4 +279,4 @@ def check_expectations(rec: CurveRecord) -> list:
                      for (_, v), (_, g) in zip(want, got))
         results.append(ExpectationResult(rec.name, key, repr(want),
                                          repr(got), ok))
-    return results
+    return sorted(results, key=lambda r: r.key)

@@ -4,9 +4,11 @@ Dense matrices with Fraction entries, eliminated fraction-free over the
 integers (per-row denominator clearing, then integer row combinations with
 content stripping).  Kernel vectors are back-substituted in integers too,
 as numerators over one common denominator; kernel_basis makes Fractions of
-them only at the end, and integer_kernel scales them to integer rows
-instead.  No floating point is used anywhere; every rank, kernel and
-membership answer is exact.
+them only at the end, and integer_kernel, which eliminates the sparsest
+columns first, scales them to integer rows instead.  No floating point is
+used anywhere; every rank, kernel and membership answer is exact.  The one
+rank taken modulo a prime (_rank_mod_p) is a lower bound, which callers
+accept only where it meets an upper bound they know.
 """
 from __future__ import annotations
 
@@ -92,16 +94,6 @@ def _integer_rows(rows) -> list:
     return out
 
 
-def _row_content(row) -> int:
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return 1
-    return g
-
-
 def _echelon(rows, ncols):
     """In-place fraction-free row echelon form on integer rows.
 
@@ -143,7 +135,7 @@ def _echelon(rows, ncols):
             g = gcd(piv, f)
             a, b = piv // g, f // g
             new = [a * x - b * y for x, y in zip(ri[c:], tail)]
-            ct = _row_content(new)
+            ct = gcd(*new)
             if ct > 1:
                 new = [x // ct for x in new]
             ri[c:] = new
@@ -159,10 +151,11 @@ def rank(m: QMatrix) -> int:
     return r
 
 
-def _kernel_numerators(m: QMatrix):
-    """Yield the vectors of kernel_basis(m) as (cols, nums, den): the vector
-    is nums[k] / den at cols[k] and 0 elsewhere, cols[0] is its free column
-    and nums[0] == den.  den may be negative.
+def _kernel_numerators(rows, ncols: int):
+    """Yield a basis of the kernel of the integer rows (consumed by the
+    elimination) as (cols, nums, den): the vector is nums[k] / den at
+    cols[k] and 0 elsewhere, cols[0] is its free column and nums[0] == den.
+    den may be negative.
 
     Back-substitution runs in integers: each vector is kept as integer
     numerators over one common denominator, on its solved support only (the
@@ -170,10 +163,9 @@ def _kernel_numerators(m: QMatrix):
     are multiplied through only when a pivot does not divide the
     accumulated sum.
     """
-    rows = _integer_rows(m.row(i) for i in range(m.rows))
-    rank_, pivot_cols = _echelon(rows, m.cols)
+    rank_, pivot_cols = _echelon(rows, ncols)
     pivset = set(pivot_cols)
-    free_cols = [j for j in range(m.cols) if j not in pivset]
+    free_cols = [j for j in range(ncols) if j not in pivset]
     for fc in free_cols:
         cols, nums, den = [fc], [1], 1
         # echelon rows are triangular on the pivot columns; solve upwards
@@ -208,8 +200,9 @@ def kernel_basis(m: QMatrix) -> list:
     row space of m alone.  Each entry becomes a Fraction once, from the
     integer numerators of _kernel_numerators.
     """
+    rows = _integer_rows(m.row(i) for i in range(m.rows))
     basis = []
-    for cols, nums, den in _kernel_numerators(m):
+    for cols, nums, den in _kernel_numerators(rows, m.cols):
         v = [Fraction(0)] * m.cols
         for j, n in zip(cols, nums):
             v[j] = Fraction(n, den)
@@ -218,21 +211,61 @@ def kernel_basis(m: QMatrix) -> list:
 
 
 def integer_kernel(m: QMatrix) -> list:
-    """kernel_basis(m) with each vector scaled to coprime integers, positive
-    in its free column: exactly _integer_rows(kernel_basis(m)), without
-    making a Fraction."""
+    """A basis of the right kernel of m as coprime integer rows, without
+    making a Fraction.
+
+    The elimination runs on a copy of m whose columns are stably sorted by
+    ascending nonzero count, so the sparsest columns are eliminated first,
+    and the vectors are mapped back to m's columns.  Each vector is
+    kernel_basis's for that column order, scaled to coprime integers and
+    positive in its free column; so the basis spans the kernel of m but is
+    not kernel_basis(m) itself.
+    """
+    columns = [m.entries[j::m.cols] for j in range(m.cols)]
+    order = sorted(range(m.cols),
+                   key=lambda j: m.rows - columns[j].count(0))
+    rows = _integer_rows(list(r) for r in zip(*(columns[j] for j in order)))
     basis = []
-    for cols, nums, den in _kernel_numerators(m):
+    for cols, nums, den in _kernel_numerators(rows, m.cols):
         # gcd(*nums) divides den == nums[0]; dividing by it, with the sign
-        # of den, leaves the coprime row _integer_rows would make
+        # of den, leaves coprime integers positive in the free column
         g = gcd(*nums)
         if den < 0:
             g = -g
         v = [0] * m.cols
         for j, n in zip(cols, nums):
-            v[j] = n // g
+            v[order[j]] = n // g
         basis.append(v)
     return basis
+
+
+def _rank_mod_p(m: QMatrix, bound: int) -> int:
+    """min(bound, rank of the integer matrix m modulo the prime 2^61 - 1).
+
+    Reducing modulo a prime can only lose rank, so this is a lower bound on
+    rank(m); a caller that knows bound >= rank(m) and finds it reached has
+    the exact rank, and otherwise has to eliminate over Q.  Rows are
+    reduced one at a time against the pivot rows found so far, so the
+    elimination stops at the first row that reaches bound.  Entries are
+    reduced modulo p only where a row becomes a pivot or a multiplier is
+    read off.
+    """
+    p = (1 << 61) - 1
+    pivots = []     # (column, pivot row from that column on, scaled to 1)
+    for i in range(m.rows):
+        if len(pivots) >= bound:
+            break
+        v = m.row(i)
+        for c, tail in pivots:
+            a = v[c] % p
+            if a:
+                v[c:] = [x - a * y for x, y in zip(v[c:], tail)]
+        v = [x % p for x in v]
+        c = next((j for j, x in enumerate(v) if x), -1)
+        if c >= 0:
+            inv = pow(v[c], -1, p)
+            pivots.append((c, [x * inv % p for x in v[c:]]))
+    return min(len(pivots), bound)
 
 
 def in_span(v, m: QMatrix) -> bool:

@@ -14,18 +14,21 @@ need no elimination: for a reduced curve their span has the dimension of
 the Koszul complex's closed formula (koszul_dim).
 
 The invariants are defined for reduced curves, and for those the Milnor
-algebra S/J has dimension tau in every degree from T = 3(d-2) on.  So tau
+algebra S/J has dimension tau in every degree above T = 3(d-2).  So tau
 is read off one elimination, the left kernel at T + 1, which saturation
 and freeness need anyway, once one small rank has certified that f is
 reduced (_certify_reduced); input that is not reduced raises NotReduced.
 
-Above T/2 a certified curve needs no wide elimination at all.  The defect
-module sat(J)/J is self-dual about T/2 (Sernesi 2014; van Straten and
-Warmt 2015), and the Hilbert function of the singular scheme never
-decreases and stops at tau from its regularity index k0 on (Eisenbud, The
-Geometry of Syzygies, ch. 4).  When k0 <= T/2, every Jacobian rank above
-T/2 is read off degree T - t, and every saturation dimension from k0 to
-T/2 is dim S_k - tau (jacobian_dim, h0m_dim, _regularity_index).
+Above T/2 a certified curve needs no wide elimination at all, and below it
+the saturation needs no exact one.  The defect module sat(J)/J is
+self-dual about T/2 (Sernesi 2014; van Straten and Warmt 2015), and the
+Hilbert function c of the singular scheme never decreases, never exceeds
+tau and stops at tau from its regularity index on (Eisenbud, The Geometry
+of Syzygies, ch. 4).  c(k) is the rank of an integer colon matrix, so a
+rank modulo a prime that reaches min(dim S_k, tau) is c(k)
+(saturation_dim).  Once such a rank certifies c(k*) = tau at some
+k* <= T/2, every Jacobian rank above T/2 is read off degree T - t
+(jacobian_dim, _regularity_index).
 
 Each curve's certificate, ranks, left kernels and saturation dimensions
 are kept on the polynomial itself, keyed by (kind, degree), and reused for
@@ -35,7 +38,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactlin import QMatrix, integer_kernel, kernel_basis, rank
+from .exactlin import (QMatrix, _rank_mod_p, integer_kernel, kernel_basis,
+                       rank)
 from .polygcd import common_degree, exact_quotient, gcd_many
 from .ring3 import (HPoly, Mono, dim_graded, mono_basis, _basis_index,
                     partials, product_rows)
@@ -102,35 +106,34 @@ def jacobian_dim(f: HPoly, t: int) -> int:
     decreases and stops at tau from the regularity index k0 on (Eisenbud,
     The Geometry of Syzygies, ch. 4), and n(t) = n(T - t) (Sernesi 2014;
     van Straten and Warmt 2015).  So once f carries its reducedness
-    certificate and _regularity_index(f) finds k0 <= T/2, every t > T/2 has
-    m(t) = tau + m(T - t) - c(T - t), where m and c vanish in negative
-    degrees and c(s) = tau for s >= k0: one rank at degree T - t < T/2
-    instead of one at t.  A curve that is not certified yet, or whose k0
-    is above T/2, keeps the direct rank, so this never raises NotReduced.
+    certificate and _regularity_index(f) finds k* <= T/2, every t > T/2
+    has m(t) = tau + m(T - t) - c(T - t), where m and c vanish in negative
+    degrees: one rank at degree T - t < T/2 instead of one at t.  A curve
+    that is not certified yet, or whose k* is above T/2, keeps the direct
+    rank, so this never raises NotReduced.
     """
     results = _results(f)
     key = ("jdim", t)
     if key not in results:
-        k0 = _regularity_index(f) if 2 * t > 3 * (f.degree - 2) else None
-        if k0 is not None:
-            results[key] = dim_graded(t) - _mirrored_milnor_dim(f, t, k0)
+        top = 3 * (f.degree - 2)
+        kstar = _regularity_index(f) if 2 * t > top else None
+        if kstar is not None and 2 * kstar <= top:
+            results[key] = dim_graded(t) - _mirrored_milnor_dim(f, t)
         else:
             m = t - (f.degree - 1)
             results[key] = 0 if m < 0 else rank(jacobian_rows(f, t))
     return results[key]
 
 
-def _mirrored_milnor_dim(f: HPoly, t: int, k0: int) -> int:
-    """milnor_dim(f, t) for t > T/2 >= k0, as tau + m(T - t) - c(T - t)
+def _mirrored_milnor_dim(f: HPoly, t: int) -> int:
+    """milnor_dim(f, t) for t > T/2 >= k*, as tau + m(T - t) - c(T - t)
     (see jacobian_dim); RelationViolated if it leaves [tau, dim S_t]."""
     d = f.degree
     s = 3 * (d - 2) - t
     tau_val = tau(f)
     m_t = tau_val
     if s >= 0:
-        c_s = (tau_val if s >= k0
-               else dim_graded(s) - saturation_dim(f, s))
-        m_t += milnor_dim(f, s) - c_s
+        m_t += milnor_dim(f, s) - dim_graded(s) + saturation_dim(f, s)
     if not tau_val <= m_t <= dim_graded(t):
         raise RelationViolated(
             "mirrored Milnor algebra dimension %d leaves [tau, dim S_t] = "
@@ -140,21 +143,24 @@ def _mirrored_milnor_dim(f: HPoly, t: int, k0: int) -> int:
 
 
 def _regularity_index(f: HPoly) -> int | None:
-    """The least k <= T/2 at which the singular scheme imposes tau
-    conditions on forms of degree k, dim S_k - saturation_dim(f, k) = tau,
-    or None when there is none; kept on f.  Only degrees with dim S_k >= tau
-    are eliminated, since fewer forms cannot meet tau conditions.  None,
-    and nothing kept, while f carries no reducedness certificate."""
+    """k*: the least k <= T at which the singular scheme certifiably
+    imposes tau conditions on forms of degree k, _certified_colon_rank(f,
+    k) = tau, or None when there is none; kept on f.  Only degrees with
+    dim S_k >= tau are tried, since fewer forms cannot meet tau conditions.
+    c never decreases and stops at tau, so c(k) = tau for every k >= k*;
+    k* is the regularity index of the singular scheme unless the modular
+    rank fell short there.  None, and nothing kept, while f carries no
+    reducedness certificate."""
     results = _results(f)
     if ("reduced", 2 * f.degree - 3) not in results:
         return None
     top = 3 * (f.degree - 2)
-    key = ("k0", top)
+    key = ("kstar", top)
     if key not in results:
         t = tau(f)
         results[key] = next(
-            (k for k in range(top // 2 + 1) if dim_graded(k) >= t
-             and dim_graded(k) - saturation_dim(f, k) == t), None)
+            (k for k in range(top + 1) if dim_graded(k) >= t
+             and _certified_colon_rank(f, k) == t), None)
     return results[key]
 
 
@@ -290,11 +296,13 @@ def tau(f: HPoly) -> int:
     """Global Tjurina number of a reduced curve: milnor_dim at 3(d-2) + 1.
 
     For reduced f the Milnor algebra has dimension tau in every degree
-    >= 3(d-2) (Choudary and Dimca 1994; du Plessis and Wall 1999), so one
+    > 3(d-2) (Choudary and Dimca 1994; du Plessis and Wall 1999), so one
     degree is enough once _certify_reduced has proved f reduced; NotReduced
-    is raised otherwise.  The value is the dimension of the left kernel
-    there, which saturation, freeness and the reports need too, so this is
-    the only Jacobian elimination tau does.
+    is raised otherwise.  Degree 3(d-2) itself is not enough: there the
+    Milnor algebra of a smooth curve keeps its socle, m = 1 with tau = 0.
+    The value is the dimension of the left kernel at 3(d-2) + 1, which
+    saturation, freeness and the reports need too, so this is the only
+    Jacobian elimination tau does.
     """
     _certify_reduced(f)
     return len(_jac_left_kernel(f, 3 * (f.degree - 2) + 1))
@@ -316,38 +324,63 @@ def ct(f: HPoly) -> int:
 def _monomial_shift_index(k: int, t: int, var: int) -> list:
     """Index map: position j in mono_basis(k) -> position of x_var^(t-k) * m_j
     in mono_basis(t)."""
-    n = t - k
+    dx, dy, dz = (t - k if v == var else 0 for v in range(3))
     idx = _basis_index(t)
-    out = []
-    for m in mono_basis(k):
-        e = list(m)
-        e[var] += n
-        out.append(idx[Mono(*e)])
-    return out
+    return [idx[Mono(ex + dx, ey + dy, ez + dz)]
+            for ex, ey, ez in mono_basis(k)]
 
 
-def sat_basis(f: HPoly, k: int) -> list:
-    """Basis of the degree-k piece of the saturation of the Jacobian ideal.
+def _colon_matrix(f: HPoly, k: int) -> QMatrix:
+    """The integer colon matrix in degree k, whose kernel is the degree-k
+    piece of the saturation of the Jacobian ideal: for each variable x_i
+    and each row l of _jac_left_kernel(f, k + N), the functional
+    g -> l(x_i^N g) on mono_basis(k).
 
     A form g lies in the saturation exactly when g times every sufficiently
     high power of each variable lands in the ideal.  Powers of the three
     variables with exponent N are enough once k + N exceeds 3(d-2), the top
-    degree where ideal and saturation can differ, so a single colon
-    computation at that cutoff is exact.
+    degree where ideal and saturation can differ, so N = max(1, 3(d-2) + 1
+    - k) makes a single colon computation exact.  Its rank is c(k), the
+    number of conditions the singular scheme imposes in degree k.
     """
-    d = f.degree
-    nstar = max(1, 3 * (d - 2) + 1 - k)
-    t = k + nstar
+    t = k + max(1, 3 * (f.degree - 2) + 1 - k)
     lker = _jac_left_kernel(f, t)
-    if lker:
-        nk = dim_graded(k)
-        rows = []
-        for var in range(3):
-            shift = _monomial_shift_index(k, t, var)
-            for l in lker:
-                rows.append([l[shift[j]] for j in range(nk)])
-        out = [HPoly.from_coeff_vector(k, v)
-               for v in kernel_basis(QMatrix.from_rows(rows))]
+    rows = []
+    for var in range(3):
+        shift = _monomial_shift_index(k, t, var)
+        rows += (map(l.__getitem__, shift) for l in lker)
+    return QMatrix.from_rows(rows)
+
+
+def _certified_colon_rank(f: HPoly, k: int) -> int | None:
+    """The rank c(k) of the colon matrix in degree k when its rank modulo a
+    prime proves it, or None; kept on f, None included.
+
+    Modulo a prime the rank of an integer matrix can only drop, and over Q
+    the colon rank is at most its row count and dim S_k, and at most tau
+    once f carries its reducedness certificate: c is the Hilbert function
+    of the singular scheme, of length tau (Eisenbud, The Geometry of
+    Syzygies, ch. 4).  So a modular rank that reaches the least of these
+    bounds is the rank over Q.
+    """
+    results = _results(f)
+    key = ("crank", k)
+    if key not in results:
+        m = _colon_matrix(f, k)
+        bound = min(m.rows, m.cols)
+        if ("reduced", 2 * f.degree - 3) in results:
+            bound = min(bound, tau(f))
+        r = _rank_mod_p(m, bound)
+        results[key] = r if r == bound else None
+    return results[key]
+
+
+def sat_basis(f: HPoly, k: int) -> list:
+    """Basis of the degree-k piece of the saturation of the Jacobian ideal:
+    the kernel of the colon matrix (_colon_matrix), exact."""
+    colon = _colon_matrix(f, k)
+    if colon.rows:
+        out = [HPoly.from_coeff_vector(k, v) for v in kernel_basis(colon)]
     else:
         out = [HPoly.monomial(m) for m in mono_basis(k)]
     _results(f)[("sat", k)] = len(out)
@@ -355,10 +388,34 @@ def sat_basis(f: HPoly, k: int) -> list:
 
 
 def saturation_dim(f: HPoly, k: int) -> int:
+    """Dimension of the degree-k piece of the saturation of the Jacobian
+    ideal, dim S_k - c(k); kept on f.  The first of these that applies:
+
+    - k >= k* (_regularity_index): c(k) = tau, with no elimination;
+    - the colon rank modulo a prime, where it reaches its bound
+      (_certified_colon_rank);
+    - self-duality, when k* > T/2 and T - k >= k*: h0m(k) = h0m(T - k) =
+      m(T - k) - tau (see h0m_dim), so the value is
+      jacobian_dim(f, k) + milnor_dim(f, T - k) - tau, with a direct
+      Jacobian rank at T - k;
+    - sat_basis, the exact colon kernel.
+    """
     results = _results(f)
-    if ("sat", k) not in results:
+    key = ("sat", k)
+    if key in results:
+        return results[key]
+    top = 3 * (f.degree - 2)
+    kstar = _regularity_index(f)
+    if kstar is not None and k >= kstar:
+        results[key] = dim_graded(k) - tau(f)
+    elif (c := _certified_colon_rank(f, k)) is not None:
+        results[key] = dim_graded(k) - c
+    elif kstar is not None and top < 2 * kstar <= 2 * (top - k):
+        results[key] = (jacobian_dim(f, k) + milnor_dim(f, top - k)
+                        - tau(f))
+    else:
         sat_basis(f, k)
-    return results[("sat", k)]
+    return results[key]
 
 
 def h0m_dim(f: HPoly, k: int) -> int:
@@ -369,28 +426,14 @@ def h0m_dim(f: HPoly, k: int) -> int:
     h0m(k) = h0m(T - k) (Sernesi 2014; van Straten and Warmt 2015).  So
     for T/2 < k <= T the value is read from degree T - k, behind
     _certify_reduced (NotReduced for input that is not reduced), and no
-    wide saturation kernel of the upper half is eliminated.  In the lower
-    half, once f carries its reducedness certificate, the Hilbert function
-    dim S_k - saturation_dim(f, k) of the singular scheme never decreases
-    and equals tau from the regularity index k0 on (Eisenbud, The Geometry
-    of Syzygies, ch. 4), so for k0 <= k <= T/2 (see _regularity_index) the
-    saturation dimension dim S_k - tau is kept under ("sat", k) without a
-    kernel.  Every degree is then saturation_dim(f, k) minus
-    jacobian_dim(f, k); sat_basis stays direct at every k.
+    wide saturation kernel of the upper half is eliminated.  Every other
+    degree is saturation_dim(f, k) minus jacobian_dim(f, k).
     """
     top = 3 * (f.degree - 2)
     if top < 2 * k <= 2 * top:
         _certify_reduced(f)
         return h0m_dim(f, top - k)
-    results = _results(f)
-    key = ("sat", k)
-    if key not in results:
-        k0 = _regularity_index(f) if 2 * k <= top else None
-        if k0 is not None and k >= k0:
-            results[key] = dim_graded(k) - tau(f)
-        else:
-            sat_basis(f, k)
-    val = results[key] - jacobian_dim(f, k)
+    val = saturation_dim(f, k) - jacobian_dim(f, k)
     if val < 0:
         raise RelationViolated("saturation smaller than ideal at k=%d" % k)
     return val

@@ -137,3 +137,25 @@ class TestExpectationComparator:
         assert {"torelli_status", "torelli_witness"} <= set(rec.expected)
         assert all(r.ok for r in check_expectations(rec))
         assert calls == ["one_node_quartic"]
+
+    @pytest.mark.parametrize("name", ["nine_d4_nonic", "zariski_sextic"])
+    def test_certifies_before_the_relation_profile(self, name, monkeypatch):
+        # tau, mdr and ct run first, so the Jacobian ranks above T/2 behind
+        # ar_at and ar_profile are read off the lower half: a cold run
+        # builds Jacobian rows above T/2 only at T + 1, and still returns
+        # its results in sorted key order
+        import dataclasses
+
+        import syzcurve.syzygy
+        from syzcurve import parse
+        rec = lookup(name)
+        rec = dataclasses.replace(rec, f=parse(str(rec.f)))
+        top = 3 * (rec.degree - 2)
+        built = []
+        real = syzcurve.syzygy.jacobian_rows
+        monkeypatch.setattr(syzcurve.syzygy, "jacobian_rows",
+                            lambda g, t: built.append(t) or real(g, t))
+        results = check_expectations(rec)
+        assert all(r.ok for r in results)
+        assert [r.key for r in results] == sorted(rec.expected)
+        assert [t for t in built if 2 * t > top] == [top + 1]

@@ -1,5 +1,6 @@
 """Exact rational linear algebra: rank, kernel, span membership, solving."""
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 
 from syzcurve import QMatrix, in_span, kernel_basis, rank, solve
 from syzcurve.curvecat import lookup
-from syzcurve.exactlin import _echelon, _integer_rows, integer_kernel
+from syzcurve.exactlin import (_echelon, _integer_rows, _rank_mod_p,
+                               integer_kernel)
 from syzcurve.syzygy import gradient_matrix, jacobian_rows
 
 from conftest import (LADDER_LINES, coeffs, line_product, mat_vec,
@@ -210,29 +212,69 @@ class TestAgainstReference:
         assert rank(m) == 105 - 6
 
 
+def check_integer_kernel(m):
+    """integer_kernel(m) is a basis of the kernel of m as coprime integer
+    rows: each row is integer and primitive with m v = 0, there are
+    cols - rank(m) of them, and they span what kernel_basis(m) spans.
+    Returns the rows."""
+    ker = integer_kernel(m)
+    for v in ker:
+        assert len(v) == m.cols
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1
+        assert not any(mat_vec(m, v))
+    assert len(ker) == m.cols - rank(m)
+    canonical = kernel_basis(m)
+    if ker:
+        assert rank(QMatrix.from_rows(ker)) == len(ker)
+        assert rank(QMatrix.from_rows(ker + canonical)) == len(canonical)
+    return ker
+
+
 class TestIntegerKernel:
-    """integer_kernel is kernel_basis scaled to integer rows, sign and scale
-    included, as _integer_rows would scale it."""
+    """integer_kernel eliminates the sparsest columns first, so its basis is
+    not kernel_basis's canonical one; it spans the same kernel, in coprime
+    integer rows."""
 
     @given(qmatrices(max_dim=8))
     @settings(max_examples=100)
     def test_small(self, m):
-        assert integer_kernel(m) == _integer_rows(kernel_basis(m))
+        check_integer_kernel(m)
 
     @given(shaped_qmatrices())
     @settings(max_examples=100)
     def test_shaped(self, m):
-        assert integer_kernel(m) == _integer_rows(kernel_basis(m))
+        check_integer_kernel(m)
+
+    def test_no_rows(self):
+        # every vector is in the kernel; a column order of equal counts
+        # keeps the identity
+        assert check_integer_kernel(QMatrix(0, 3, [])) == row_lists(
+            identity(3))
 
     def test_ladder_nonic_left_kernel(self):
         # the Jacobian rows at T + 1 = 22 of the degree-9 arrangement: the
-        # left kernel behind the saturation and freeness of that curve
-        f = line_product(LADDER_LINES)
-        m = jacobian_rows(f, 22)
-        ker = integer_kernel(m)
-        assert ker == _integer_rows(kernel_basis(m))
+        # left kernel behind the saturation and freeness of that curve;
         # tau = C(9, 2) nodes
-        assert len(ker) == 36
+        m = jacobian_rows(line_product(LADDER_LINES), 22)
+        assert len(check_integer_kernel(m)) == 36
+
+
+class TestRankModP:
+    """_rank_mod_p(m, bound) is min(bound, rank modulo a prime): never above
+    the rank over Q, and equal to it on small-entried matrices, whose
+    minors the prime 2^61 - 1 cannot divide unless they vanish."""
+
+    @given(qmatrices(max_dim=8), st.integers(min_value=0, max_value=9))
+    @settings(max_examples=100)
+    def test_small(self, m, bound):
+        ints = QMatrix(m.rows, m.cols, [int(v) for v in m.entries])
+        assert _rank_mod_p(ints, bound) == min(bound, rank(ints))
+
+    def test_multiple_of_the_prime_drops_rank(self):
+        p = (1 << 61) - 1
+        m = QMatrix.from_rows([[p, 0], [0, 3 * p * p], [1, 1]])
+        assert (rank(m), _rank_mod_p(m, 2)) == (2, 1)
 
 
 class TestIntegerInput:

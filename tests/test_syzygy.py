@@ -19,7 +19,8 @@ from syzcurve import (CurveRecord, NotReduced, QMatrix, RelationViolated,
                       tau)
 from syzcurve.curvecat import lookup, non_ts_family, thom_sebastiani
 from syzcurve.ring3 import Mono, _basis_index, mult_matrix, partials
-from syzcurve.syzygy import (_jac_left_kernel, _regularity_index, _results,
+from syzcurve.syzygy import (_certified_colon_rank, _colon_matrix,
+                             _jac_left_kernel, _regularity_index, _results,
                              jacobian_rows)
 
 from conftest import (LADDER_LINES, direct_jacobian_dim, hpolys, koszul_rank,
@@ -441,11 +442,10 @@ def direct_rows(name):
 
 
 def regularity_index(name):
-    """The least k <= T/2 with defect 0, that is with dim S_k - sat = tau,
+    """The least k <= T with defect 0, that is with dim S_k - sat = tau,
     from the direct rows; None when there is none."""
-    defects = direct_rows(name)[1]
-    return next((k for k, v in enumerate(defects[:(len(defects) + 1) // 2])
-                 if v == 0), None)
+    return next((k for k, v in enumerate(direct_rows(name)[1]) if v == 0),
+                None)
 
 
 def middle_out_freeness(name):
@@ -490,22 +490,23 @@ class TestSelfDuality:
 
     @pytest.mark.parametrize("name", SELF_DUAL_CURVES)
     def test_no_saturation_kernel_above_the_middle(self, name, monkeypatch):
-        # nor above the regularity index k0 <= T/2, where there is one: the
-        # saturation dimensions from k0 to T/2 are dim S_k - tau
+        # nor any colon rank above the regularity index k*, whose colon
+        # rank ends the scan for it: the saturation dimensions from k* on
+        # are dim S_k - tau.  An exact colon kernel is left only for the
+        # degrees below k* whose modular rank stays below its bound.
         f = parse(str(self_dual_curve(name)))
-        top = 3 * (f.degree - 2)
         k0 = regularity_index(name)
-        seen = []
-        direct = syzcurve.syzygy.sat_basis
-
-        def spy(g, k):
-            seen.append(k)
-            return direct(g, k)
-        monkeypatch.setattr(syzcurve.syzygy, "sat_basis", spy)
+        seen = {"_certified_colon_rank": [], "sat_basis": []}
+        for path, ks in seen.items():
+            def spy(g, k, ks=ks, real=getattr(syzcurve.syzygy, path)):
+                ks.append(k)
+                return real(g, k)
+            monkeypatch.setattr(syzcurve.syzygy, path, spy)
         freeness(f)
         table_values(f, "h1", -3, f.degree)
         assert _regularity_index(f) == k0
-        assert seen and max(seen) <= (top // 2 if k0 is None else k0)
+        assert max(seen["_certified_colon_rank"]) == k0
+        assert all(k < k0 for k in seen["sat_basis"])
 
     @pytest.mark.parametrize("name", SELF_DUAL_CURVES)
     def test_half_scan_matches_full_middle_out_scan(self, name):
@@ -584,7 +585,7 @@ class TestUpperHalfFromLowerHalf:
         top = 3 * (f.degree - 2)
         assert (tau(f), mdr(f), v.free, v.exponents,
                 tuple(h0m_dim(f, k) for k in range(top + 1))) == values
-        assert _regularity_index(f) is None
+        assert 2 * _regularity_index(f) > top
 
     def test_mirror_outside_its_range_names_degree_and_t(self, monkeypatch):
         f = parse(str(TRIANGLE))
@@ -592,6 +593,57 @@ class TestUpperHalfFromLowerHalf:
         monkeypatch.setattr(syzcurve.syzygy, "milnor_dim", lambda g, k: -5)
         with pytest.raises(RelationViolated, match="at degree 3, t=3$"):
             jacobian_dim(f, 3)
+
+
+class TestCertifiedColonRank:
+    """saturation_dim takes the rank of the colon matrix modulo a prime and
+    accepts it only where it reaches its bound; elsewhere it falls back to
+    self-duality or to the exact colon kernel (sat_basis)."""
+
+    @pytest.mark.parametrize("name", MIRROR_CURVES)
+    def test_certified_rank_is_the_exact_rank(self, name):
+        g = certified_copy(name)
+        for k in range(3 * (g.degree - 2) + 1):
+            m = _colon_matrix(g, k)
+            # the same rank, eliminated with the shorter side as columns
+            exact = rank(m if m.cols <= m.rows else m.transpose())
+            assert _certified_colon_rank(g, k) in (None, exact)
+            assert saturation_dim(g, k) == dim_graded(k) - exact
+
+    @pytest.mark.parametrize("name, kstar", [
+        ("free_nonic", 11), ("ladder_7", 5), ("ladder_8", 6),
+        ("ladder_9", 7)])
+    def test_regularity_index(self, name, kstar):
+        assert _regularity_index(certified_copy(name)) == kstar
+
+    @pytest.mark.parametrize("below_tau_only", [False, True])
+    @pytest.mark.parametrize("name", [rec.name for rec in catalog()]
+                             + ["ladder_7"])
+    def test_unlucky_prime_changes_no_value(self, name, below_tau_only,
+                                            monkeypatch):
+        # a modular rank one short of the rank fails the certificate, so
+        # every value below comes from the exact fallbacks: from sat_basis
+        # when every rank falls short, and from self-duality too on curves
+        # whose k* lies above T/2 (ts_2_3) when only the ranks below tau
+        # do, tau being a third of the colon matrix's rows
+        def values():
+            f = parse(str(mirror_curve(name)))
+            if name == "ladder_7":
+                rec = CurveRecord(name, f, False, f.degree, None, ())
+            else:
+                rec = dataclasses.replace(lookup(name), f=f)
+            report = build_report(rec).to_json()
+            return (report,
+                    [(saturation_dim(f, k), h0m_dim(f, k), defect(f, k))
+                     for k in range(3 * (f.degree - 2) + 1)])
+        want = values()
+        modular = syzcurve.syzygy._rank_mod_p
+
+        def unlucky(m, bound):
+            r = modular(m, bound)
+            return r if below_tau_only and 3 * r == m.rows else r - 1
+        monkeypatch.setattr(syzcurve.syzygy, "_rank_mod_p", unlucky)
+        assert values() == want
 
 
 def jacobian_span_equal(f, g):
