@@ -53,7 +53,7 @@ def _resolve_curve(token: str):
         return lookup(token)
     except KeyError:
         pass
-    if not os.path.exists(token):
+    if not os.path.isfile(token):
         raise _UsageError(
             "%r is neither a catalog curve nor an existing file" % token)
     return load_curve_file(token)

@@ -11,6 +11,7 @@ regression suite.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -42,12 +43,13 @@ class CurveRecord:
 
     def __post_init__(self):
         if self.components < 1:
-            raise ValueError("component count must be >= 1")
+            raise ValueError("components: component count must be >= 1")
         if self.irreducible and self.components != 1:
-            raise ValueError("an irreducible curve has one component")
+            raise ValueError(
+                "irreducible: an irreducible curve has one component")
         if (self.component_genera is not None
                 and len(self.component_genera) != self.components):
-            raise ValueError("need one genus per component")
+            raise ValueError("genera: need one genus per component")
 
     @property
     def degree(self) -> int:
@@ -436,46 +438,66 @@ def _parse_expect_value(text: str):
     return int(text)
 
 
+@contextmanager
+def _field(name: str):
+    """Report a ValueError or ZeroDivisionError (a bad number, point,
+    singularity type, form or encoding) as a CurveFileSyntax naming the
+    field it was read from."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as e:
+        raise CurveFileSyntax("%s: %s" % (name, e)) from e
+
+
 def load_curve_file(path: str) -> CurveRecord:
     """Parse a line-oriented curve description, build the record, and run
     the declared-data verification.  The file format requires explicit
     rational points for every declared singularity and a degree of at
-    least 2."""
+    least 2.  A malformed file raises CurveFileSyntax, which names the
+    field at fault."""
     fields = {}
     expected = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CurveFileSyntax("line %d: expected key = value" % lineno)
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if key.startswith("expect."):
+    with open(path, "r", encoding="utf-8") as fh, _field("encoding"):
+        lines = list(fh)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CurveFileSyntax("line %d: expected key = value" % lineno)
+        key, value = line.split("=", 1)
+        key, value = key.strip(), value.strip()
+        if key.startswith("expect."):
+            with _field(key):
                 expected[key[len("expect."):]] = _parse_expect_value(value)
-            else:
-                fields[key] = value
+        else:
+            fields[key] = value
     for required in ("name", "f"):
         if required not in fields:
             raise CurveFileSyntax("missing required field %r" % required)
-    try:
+    with _field("f"):
         f = parse(fields["f"])
-    except ValueError as e:
-        raise CurveFileSyntax("bad polynomial: %s" % e) from e
     if f.degree < 2:
         raise CurveFileSyntax("curve degree must be at least 2, got %d"
                               % f.degree)
     irreducible = fields.get("irreducible", "true").lower() == "true"
-    components = int(fields.get("components", "1"))
+    with _field("components"):
+        components = int(fields.get("components", "1"))
     genera = None
     if "genera" in fields and fields["genera"].strip():
-        genera = tuple(int(g) for g in fields["genera"].split(","))
+        with _field("genera"):
+            genera = tuple(int(g) for g in fields["genera"].split(","))
     sings = []
     if "sing" in fields and fields["sing"].strip():
-        sings = [_parse_sing(c) for c in fields["sing"].split(";") if c.strip()]
-    rec = CurveRecord(fields["name"], f, irreducible, components, genera,
-                      tuple(sings), frozenset({"file"}), expected)
+        with _field("sing"):
+            sings = [_parse_sing(c) for c in fields["sing"].split(";")
+                     if c.strip()]
+    try:
+        rec = CurveRecord(fields["name"], f, irreducible, components, genera,
+                          tuple(sings), frozenset({"file"}), expected)
+    except ValueError as e:
+        # CurveRecord's own checks name the field at fault
+        raise CurveFileSyntax(str(e)) from e
     # a file lists every singularity: one without a sing line claims that
     # the curve is smooth
     verify_record(rec, complete=True)

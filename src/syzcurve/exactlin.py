@@ -2,13 +2,13 @@
 
 Dense matrices with Fraction entries, eliminated fraction-free over the
 integers (per-row denominator clearing, then integer row combinations with
-content stripping).  Kernel vectors are back-substituted in integers too,
-as numerators over one common denominator; kernel_basis makes Fractions of
-them only at the end, and integer_kernel, which eliminates the sparsest
-columns first, scales them to integer rows instead.  No floating point is
-used anywhere; every rank, kernel and membership answer is exact.  The one
-rank taken modulo a prime (_rank_mod_p) is a lower bound, which callers
-accept only where it meets an upper bound they know.
+content stripping).  The one kernel routine, kernel_basis, eliminates the
+sparsest columns first and back-substitutes in integers, returning coprime
+integer rows; solve makes Fractions only of the one solution it returns.
+No floating point is used anywhere; every rank, kernel and membership
+answer is exact.  The one rank taken modulo a prime (_rank_mod_p) is a
+lower bound, which callers accept only where it meets an upper bound they
+know.
 """
 from __future__ import annotations
 
@@ -151,11 +151,16 @@ def rank(m: QMatrix) -> int:
     return r
 
 
-def _kernel_numerators(rows, ncols: int):
-    """Yield a basis of the kernel of the integer rows (consumed by the
-    elimination) as (cols, nums, den): the vector is nums[k] / den at
-    cols[k] and 0 elsewhere, cols[0] is its free column and nums[0] == den.
-    den may be negative.
+def kernel_basis(m: QMatrix) -> list:
+    """A basis of the right kernel {v : m v = 0} as coprime integer rows,
+    each positive in its free column.
+
+    The elimination runs on a copy of m whose columns are stably sorted by
+    ascending nonzero count, so the sparsest columns are eliminated first;
+    the vectors are mapped back to m's columns.  There is one vector per
+    free column of that order, carrying 0 in the other free columns, so
+    the basis spans the kernel of m but is not the one read off m's own
+    reduced echelon form.
 
     Back-substitution runs in integers: each vector is kept as integer
     numerators over one common denominator, on its solved support only (the
@@ -163,10 +168,14 @@ def _kernel_numerators(rows, ncols: int):
     are multiplied through only when a pivot does not divide the
     accumulated sum.
     """
-    rank_, pivot_cols = _echelon(rows, ncols)
+    columns = [m.entries[j::m.cols] for j in range(m.cols)]
+    order = sorted(range(m.cols),
+                   key=lambda j: m.rows - columns[j].count(0))
+    rows = _integer_rows(list(r) for r in zip(*(columns[j] for j in order)))
+    rank_, pivot_cols = _echelon(rows, m.cols)
     pivset = set(pivot_cols)
-    free_cols = [j for j in range(ncols) if j not in pivset]
-    for fc in free_cols:
+    basis = []
+    for fc in (j for j in range(m.cols) if j not in pivset):
         cols, nums, den = [fc], [1], 1
         # echelon rows are triangular on the pivot columns; solve upwards
         for r in range(rank_ - 1, -1, -1):
@@ -188,45 +197,6 @@ def _kernel_numerators(rows, ncols: int):
                 piv = g
             cols.append(pivot_cols[r])
             nums.append(-(acc // piv))
-        yield cols, nums, den
-
-
-def kernel_basis(m: QMatrix) -> list:
-    """Basis of the right kernel {v : m v = 0} as lists of Fractions.
-
-    One basis vector per free column: the vector carries 1 in its free
-    column, 0 in the other free columns, and back-substituted values in the
-    pivot columns.  These conditions fix the basis, so it depends on the
-    row space of m alone.  Each entry becomes a Fraction once, from the
-    integer numerators of _kernel_numerators.
-    """
-    rows = _integer_rows(m.row(i) for i in range(m.rows))
-    basis = []
-    for cols, nums, den in _kernel_numerators(rows, m.cols):
-        v = [Fraction(0)] * m.cols
-        for j, n in zip(cols, nums):
-            v[j] = Fraction(n, den)
-        basis.append(v)
-    return basis
-
-
-def integer_kernel(m: QMatrix) -> list:
-    """A basis of the right kernel of m as coprime integer rows, without
-    making a Fraction.
-
-    The elimination runs on a copy of m whose columns are stably sorted by
-    ascending nonzero count, so the sparsest columns are eliminated first,
-    and the vectors are mapped back to m's columns.  Each vector is
-    kernel_basis's for that column order, scaled to coprime integers and
-    positive in its free column; so the basis spans the kernel of m but is
-    not kernel_basis(m) itself.
-    """
-    columns = [m.entries[j::m.cols] for j in range(m.cols)]
-    order = sorted(range(m.cols),
-                   key=lambda j: m.rows - columns[j].count(0))
-    rows = _integer_rows(list(r) for r in zip(*(columns[j] for j in order)))
-    basis = []
-    for cols, nums, den in _kernel_numerators(rows, m.cols):
         # gcd(*nums) divides den == nums[0]; dividing by it, with the sign
         # of den, leaves coprime integers positive in the free column
         g = gcd(*nums)
@@ -286,5 +256,5 @@ def solve(m: QMatrix, v) -> list | None:
     for vec in kernel_basis(aug):
         t = vec[m.cols]
         if t:
-            return [w / t for w in vec[:m.cols]]
+            return [Fraction(w, t) for w in vec[:m.cols]]
     return None

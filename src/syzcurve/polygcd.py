@@ -17,7 +17,7 @@ order.
 """
 from __future__ import annotations
 
-from .exactlin import in_span, integer_kernel, rank, solve
+from .exactlin import in_span, kernel_basis, rank, solve
 from .ring3 import HPoly, dim_graded, mult_matrix, product_rows
 
 
@@ -49,7 +49,7 @@ def _gcd_pair(g: HPoly, h: HPoly) -> HPoly:
         return h  # h divides g
     # the single kernel pair (p, q) in degree deg g + deg h - e has
     # p = g / gcd up to a scalar, in the rows of h
-    (vec,) = integer_kernel(
+    (vec,) = kernel_basis(
         product_rows((h, g), g.degree + h.degree - e).transpose())
     p = HPoly.from_coeff_vector(g.degree - e, vec[:dim_graded(g.degree - e)])
     return exact_quotient(g, p)

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactlin import (QMatrix, _rank_mod_p, integer_kernel, kernel_basis,
-                       rank)
+from .exactlin import QMatrix, _rank_mod_p, kernel_basis, rank
 from .polygcd import common_degree, exact_quotient, gcd_many
 from .ring3 import (HPoly, Mono, dim_graded, mono_basis, _basis_index,
                     partials, product_rows)
@@ -172,7 +171,7 @@ def _jac_left_kernel(f: HPoly, t: int) -> list:
     key = ("lker", t)
     if key in results:
         return results[key]
-    rows = integer_kernel(jacobian_rows(f, t))
+    rows = kernel_basis(jacobian_rows(f, t))
     results[key] = rows
     results.setdefault(("jdim", t), dim_graded(t) - len(rows))
     return rows

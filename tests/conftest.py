@@ -11,6 +11,33 @@ from syzcurve.syzygy import jacobian_rows
 LADDER_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, 3), (3, 1, 2),
                 (-3, 1, 3), (1, -1, 1), (2, -3, -3), (-2, -3, 1))
 
+# malformed curve files, each with the field its error names; the last is
+# not UTF-8
+BAD_CURVE_FILES = [
+    ("components", "name = a\nf = x*y*z\nirreducible = false\n"
+                   "components = three\n"),
+    ("irreducible", "name = a\nf = x*y*z\nirreducible = true\n"
+                    "components = 3\n"),
+    ("sing", "name = a\nf = x^3\nsing = (0:0:0) A1\n"),
+    ("sing", "name = a\nf = x^3\nsing = (1:0:0) A0\n"),
+    ("genera", "name = a\nf = x*y*z\nirreducible = false\n"
+               "components = 3\ngenera = 0,0\n"),
+    ("sing", "name = a\nf = z*y^2 - x^3\nsing = (0:0:1) A2 tangent = x^2\n"),
+    ("expect.tau", "name = a\nf = x^3 + y^3 + z^3\nexpect.tau = abc\n"),
+    ("sing", "name = a\nf = x*y*z\nsing = (1:0:1/0) A1\n"),
+    ("encoding", b"name = a\nf = x^3 + y^3 + z^3 \xff\n"),
+]
+
+
+def write_curve_file(path, text) -> str:
+    """Write a curve file's text, or its raw bytes, and return the path."""
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    return str(path)
+
+
 coeffs = st.integers(min_value=-9, max_value=9)
 nonzero_coeffs = coeffs.filter(lambda c: c != 0)
 
@@ -50,6 +77,13 @@ def mat_vec(m, v) -> list:
         raise ValueError("vector length mismatch")
     return [sum((e * w for e, w in zip(row, v) if e and w), Fraction(0))
             for row in row_lists(m)]
+
+
+def same_span(a, b) -> bool:
+    """Whether the lists of rows a and b span the same space."""
+    r = rank(QMatrix.from_rows(a))
+    return (rank(QMatrix.from_rows(b)) == r
+            and rank(QMatrix.from_rows(a + b)) == r)
 
 
 def koszul_rank(f, m) -> int:

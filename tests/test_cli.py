@@ -17,6 +17,8 @@ import syzcurve.cli
 from syzcurve import CurveRecord, parse
 from syzcurve.cli import main
 
+from conftest import BAD_CURVE_FILES, write_curve_file
+
 GOOD_FILE = """name = cli_quartic
 f = x*y*z^2 + x^4 + y^4
 sing = (0:0:1) A1
@@ -26,6 +28,11 @@ BAD_FILE = """name = cli_bad
 f = x^4 + y^4 + z^4
 sing = (0:0:1) A1
 """
+
+# a line without "=", then a bad integer, a record check, a bad point and
+# a file that is not UTF-8, each with the field its error names
+MALFORMED_FILES = [("line 1", "name only\n")] + [
+    BAD_CURVE_FILES[i] for i in (0, 4, 7, 8)]
 
 
 def run(capsys, *argv):
@@ -61,11 +68,20 @@ class TestAnalyze:
         assert code == 2
         assert "verification failed" in err
 
-    def test_malformed_file_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "syn.curve"
-        path.write_text("name only\n")
-        code, _, err = run(capsys, "analyze", str(path))
+    @pytest.mark.parametrize("field, text", MALFORMED_FILES,
+                             ids=[field.split()[0]
+                                  for field, _ in MALFORMED_FILES])
+    def test_malformed_file_exit_2(self, capsys, tmp_path, field, text):
+        path = write_curve_file(tmp_path / "syn.curve", text)
+        code, out, err = run(capsys, "analyze", path)
         assert code == 2
+        assert err.startswith("curve file error: %s: " % field)
+        assert out == ""
+
+    def test_directory_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "analyze", str(tmp_path))
+        assert code == 1
+        assert err.startswith("usage error: ")
 
     def test_file_without_sing_line_claims_smooth(self, capsys, tmp_path):
         path = tmp_path / "triangle.curve"

@@ -9,6 +9,8 @@ from syzcurve import (CurveFileSyntax, CurveRecord, DeclaredSing, ProjPoint,
                       lookup, mdr, non_ts_family, parse, tau,
                       thom_sebastiani, verify_record)
 
+from conftest import BAD_CURVE_FILES, write_curve_file
+
 F = Fraction
 
 
@@ -158,12 +160,18 @@ class TestCurveFile:
         "name = a\nf = x^3\nsing = (0:0) A1\n",        # bad point
         "name = a\nf = x^3\nsing = (0:0:1) Q7\n",      # unknown type
         "name = a\nf = x^3\njust a line\n",            # no key = value
-    ])
+    ] + [text for _, text in BAD_CURVE_FILES])
     def test_syntax_errors(self, tmp_path, text):
-        path = tmp_path / "syn.curve"
-        path.write_text(text)
+        path = write_curve_file(tmp_path / "syn.curve", text)
         with pytest.raises(CurveFileSyntax):
-            load_curve_file(str(path))
+            load_curve_file(path)
+
+    @pytest.mark.parametrize("field, text", BAD_CURVE_FILES)
+    def test_syntax_error_names_the_field(self, tmp_path, field, text):
+        path = write_curve_file(tmp_path / "syn.curve", text)
+        with pytest.raises(CurveFileSyntax) as info:
+            load_curve_file(path)
+        assert str(info.value).startswith(field + ": ")
 
     def test_round_trip_against_catalog(self, tmp_path):
         # a file matching a catalog entry reproduces its invariants

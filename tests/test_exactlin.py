@@ -8,12 +8,11 @@ from hypothesis import given, settings
 
 from syzcurve import QMatrix, in_span, kernel_basis, rank, solve
 from syzcurve.curvecat import lookup
-from syzcurve.exactlin import (_echelon, _integer_rows, _rank_mod_p,
-                               integer_kernel)
+from syzcurve.exactlin import _echelon, _integer_rows, _rank_mod_p
 from syzcurve.syzygy import gradient_matrix, jacobian_rows
 
 from conftest import (LADDER_LINES, coeffs, line_product, mat_vec,
-                      nonzero_coeffs, qmatrices, row_lists)
+                      nonzero_coeffs, qmatrices, row_lists, same_span)
 
 F = Fraction
 
@@ -149,14 +148,57 @@ class TestRank:
         assert 0 <= rank(m) <= min(m.rows, m.cols)
 
 
+def check_kernel(m):
+    """What kernel_basis(m) promises: coprime integer rows v with m v = 0,
+    cols - rank(m) of them, each positive in a column where every other
+    row is 0, spanning what the two Fraction references span.  Returns
+    the rows."""
+    ker = kernel_basis(m)
+    for v in ker:
+        assert len(v) == m.cols
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1
+        assert not any(mat_vec(m, v))
+    assert len(ker) == m.cols - rank(m)
+    for i, v in enumerate(ker):
+        assert any(x > 0 and not any(w[j] for w in ker[:i] + ker[i + 1:])
+                   for j, x in enumerate(v))
+    assert same_span(ker, fraction_back_substitution(m))
+    assert same_span(ker, reference_kernel(m))
+    return ker
+
+
+def sparsest_first_kernel(m):
+    """The kernel basis kernel_basis promises, built from the references:
+    reference_kernel of m with its columns stably sorted by ascending
+    nonzero count, mapped back and scaled to coprime integers."""
+    order = sorted(range(m.cols),
+                   key=lambda j: sum(1 for i in range(m.rows)
+                                     if m.entries[i * m.cols + j]))
+    sorted_m = QMatrix.from_rows([[row[j] for j in order]
+                                  for row in row_lists(m)])
+    basis = []
+    for v in reference_kernel(sorted_m):
+        den = 1
+        for x in v:
+            den = den * x.denominator // gcd(den, x.denominator)
+        nums = [int(x * den) for x in v]
+        g = gcd(*nums)
+        w = [0] * m.cols
+        for j, n in zip(order, nums):
+            w[j] = n // g
+        basis.append(w)
+    return basis
+
+
 class TestKernel:
     def test_identity_kernel_trivial(self):
         assert kernel_basis(identity(3)) == []
 
     def test_known_kernel(self):
-        # x + y + z = 0 has a two-dimensional solution space
-        ker = kernel_basis(M([[1, 1, 1]]))
-        assert len(ker) == 2
+        # x + y + z = 0 has a two-dimensional solution space; the equal
+        # column counts keep the column order, so y and z are free
+        assert kernel_basis(M([[1, 1, 1]])) == [[-1, 1, 0], [-1, 0, 1]]
 
     @given(qmatrices())
     @settings(max_examples=60)
@@ -176,28 +218,26 @@ class TestKernel:
 
 
 class TestAgainstReference:
-    """rank and kernel_basis equal a plain Fraction Gauss-Jordan, and the
-    kernel equals the earlier Fraction back-substitution.  Callers such as
-    sat_basis, ar_basis and the Torelli systems depend on the canonical
-    basis, not just on some basis of the kernel."""
+    """rank equals a plain Fraction Gauss-Jordan, and kernel_basis spans
+    the kernel that Gauss-Jordan and the earlier Fraction
+    back-substitution give, in coprime integer rows.  Callers read the
+    basis only through its span."""
 
     @given(qmatrices(max_dim=8))
     @settings(max_examples=100)
     def test_small(self, m):
-        assert kernel_basis(m) == fraction_back_substitution(m)
-        assert kernel_basis(m) == reference_kernel(m)
+        check_kernel(m)
         assert rank(m) == len(reference_rref(m)[1])
 
     @given(shaped_qmatrices())
     @settings(max_examples=100)
     def test_shaped(self, m):
-        assert kernel_basis(m) == reference_kernel(m)
+        check_kernel(m)
         assert rank(m) == len(reference_rref(m)[1])
 
     def test_zero_matrix(self):
         m = QMatrix(2, 3, [F(0)] * 6)
-        assert kernel_basis(m) == reference_kernel(m)
-        assert kernel_basis(m) == row_lists(identity(3))
+        assert check_kernel(m) == row_lists(identity(3))
 
     def test_six_node_sextic_left_kernel(self):
         # the transposed gradient matrix at T + 1 = 13, as in the left
@@ -206,58 +246,44 @@ class TestAgainstReference:
         m = gradient_matrix(f, 13 - (f.degree - 1)).transpose()
         assert (m.rows, m.cols) == (135, 105)
         ker = kernel_basis(m)
-        assert ker == fraction_back_substitution(m)
+        assert same_span(ker, fraction_back_substitution(m))
         # tau = 6 (six nodes) fixes both numbers
         assert len(ker) == 6
         assert rank(m) == 105 - 6
 
 
-def check_integer_kernel(m):
-    """integer_kernel(m) is a basis of the kernel of m as coprime integer
-    rows: each row is integer and primitive with m v = 0, there are
-    cols - rank(m) of them, and they span what kernel_basis(m) spans.
-    Returns the rows."""
-    ker = integer_kernel(m)
-    for v in ker:
-        assert len(v) == m.cols
-        assert all(type(x) is int for x in v)
-        assert gcd(*v) == 1
-        assert not any(mat_vec(m, v))
-    assert len(ker) == m.cols - rank(m)
-    canonical = kernel_basis(m)
-    if ker:
-        assert rank(QMatrix.from_rows(ker)) == len(ker)
-        assert rank(QMatrix.from_rows(ker + canonical)) == len(canonical)
-    return ker
-
-
 class TestIntegerKernel:
-    """integer_kernel eliminates the sparsest columns first, so its basis is
-    not kernel_basis's canonical one; it spans the same kernel, in coprime
-    integer rows."""
+    """kernel_basis eliminates the sparsest columns first: its basis is the
+    canonical one for the columns stably sorted by ascending nonzero
+    count, scaled to coprime integers positive in the free column."""
 
     @given(qmatrices(max_dim=8))
     @settings(max_examples=100)
     def test_small(self, m):
-        check_integer_kernel(m)
+        assert kernel_basis(m) == sparsest_first_kernel(m)
 
     @given(shaped_qmatrices())
     @settings(max_examples=100)
     def test_shaped(self, m):
-        check_integer_kernel(m)
+        assert kernel_basis(m) == sparsest_first_kernel(m)
 
     def test_no_rows(self):
         # every vector is in the kernel; a column order of equal counts
         # keeps the identity
-        assert check_integer_kernel(QMatrix(0, 3, [])) == row_lists(
-            identity(3))
+        assert check_kernel(QMatrix(0, 3, [])) == row_lists(identity(3))
 
     def test_ladder_nonic_left_kernel(self):
         # the Jacobian rows at T + 1 = 22 of the degree-9 arrangement: the
         # left kernel behind the saturation and freeness of that curve;
         # tau = C(9, 2) nodes
         m = jacobian_rows(line_product(LADDER_LINES), 22)
-        assert len(check_integer_kernel(m)) == 36
+        ker = kernel_basis(m)
+        assert len(ker) == 36 == m.cols - rank(m)
+        # 36 independent vectors of a 36-dimensional kernel span it
+        assert rank(QMatrix.from_rows(ker)) == 36
+        for v in ker:
+            assert gcd(*v) == 1
+            assert not any(mat_vec(m, v))
 
 
 class TestRankModP:
@@ -278,10 +304,10 @@ class TestRankModP:
 
 
 class TestIntegerInput:
-    """Rows of ints enter the elimination as they are.  Rank and both
-    kernels equal those of Fraction copies of the same matrix: one with
-    equal entries, one with each row divided by its own integer, and one
-    that mixes int and Fraction rows."""
+    """Rows of ints enter the elimination as they are.  Rank and kernel
+    equal those of Fraction copies of the same matrix: one with equal
+    entries, one with each row divided by its own integer, and one that
+    mixes int and Fraction rows."""
 
     @staticmethod
     def check(ints):
@@ -294,24 +320,23 @@ class TestIntegerInput:
                                for i, row in enumerate(rows)]),
             QMatrix.from_rows([[F(v) for v in row] if i % 2 else row
                                for i, row in enumerate(rows)])]
-        want = (rank(ints), kernel_basis(ints), integer_kernel(ints))
+        want = (rank(ints), kernel_basis(ints))
         for other in copies:
             assert other.cols == n
-            assert (rank(other), kernel_basis(other),
-                    integer_kernel(other)) == want
+            assert (rank(other), kernel_basis(other)) == want
         return want
 
     @given(qmatrices(max_dim=8))
     @settings(max_examples=100)
     def test_small(self, m):
         ints = QMatrix(m.rows, m.cols, [int(v) for v in m.entries])
-        assert self.check(ints)[1] == reference_kernel(m)
+        assert same_span(self.check(ints)[1], reference_kernel(m))
 
     def test_ladder_sextic_jacobian_rows(self):
         # the Jacobian rows at T + 1 = 13, an integer matrix as built; the
         # kernel has dimension tau = C(6, 2) nodes
         m = jacobian_rows(line_product(LADDER_LINES[:6]), 13)
-        assert len(self.check(m)[2]) == 15
+        assert len(self.check(m)[1]) == 15
 
 
 class TestSpanAndSolve:

@@ -6,6 +6,7 @@ import functools
 import time
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
@@ -18,13 +19,14 @@ from syzcurve import (CurveRecord, NotReduced, QMatrix, RelationViolated,
                       parse, rank, sat_basis, saturation_dim, table_values,
                       tau)
 from syzcurve.curvecat import lookup, non_ts_family, thom_sebastiani
-from syzcurve.ring3 import Mono, _basis_index, mult_matrix, partials
+from syzcurve.ring3 import (Mono, SingularMatrix, _basis_index, mult_matrix,
+                            partials)
 from syzcurve.syzygy import (_certified_colon_rank, _colon_matrix,
                              _jac_left_kernel, _regularity_index, _results,
                              jacobian_rows)
 
-from conftest import (LADDER_LINES, direct_jacobian_dim, hpolys, koszul_rank,
-                      line_product, smooth_milnor_dim)
+from conftest import (LADDER_LINES, coeffs, direct_jacobian_dim, hpolys,
+                      koszul_rank, line_product, same_span, smooth_milnor_dim)
 
 TRIANGLE = parse("x*y*z")
 FERMAT3 = parse("x^3 + y^3 + z^3")
@@ -66,10 +68,10 @@ def reference_gradient_matrix(f, m):
 def check_against_gradient_matrix(f):
     """jacobian_rows(f, t) against every generator column of the reference
     gradient matrix at m, t = m + d - 1, for t up to 3(d-2) + 2: equal
-    rank, equal canonical kernel, and no more rows left out than the Koszul
-    closed form 3 dim S_{m-d+1} - dim S_{m-2d+2}.  gradient_matrix(f, m)
-    has the reference's canonical kernel, the one ar_basis reads.  Returns
-    the numbers of rows left out, by m."""
+    rank, equal kernel, and no more rows left out than the Koszul closed
+    form 3 dim S_{m-d+1} - dim S_{m-2d+2}.  gradient_matrix(f, m) has the
+    reference's kernel, the one ar_basis reads.  Returns the numbers of
+    rows left out, by m."""
     d = f.degree
     nonzero = sum(not g.is_zero() for g in partials(f))
     dropped = []
@@ -77,8 +79,9 @@ def check_against_gradient_matrix(f):
         rows = jacobian_rows(f, m + d - 1)
         full = reference_gradient_matrix(f, m)
         assert rank(rows) == rank(full)
-        assert kernel_basis(rows) == kernel_basis(full.transpose())
-        assert kernel_basis(gradient_matrix(f, m)) == kernel_basis(full)
+        assert same_span(kernel_basis(rows), kernel_basis(full.transpose()))
+        assert same_span(kernel_basis(gradient_matrix(f, m)),
+                         kernel_basis(full))
         left_out = nonzero * dim_graded(m) - rows.rows
         assert 0 <= left_out <= (3 * dim_graded(m - d + 1)
                                  - dim_graded(m - 2 * d + 2))
@@ -227,6 +230,27 @@ class TestScalarInvariants:
         m = [[1, 1, 0], [0, 1, 2], [1, 0, 1]]
         assert tau(linear_change(NODAL, m)) == 1
         assert tau(linear_change(TRIANGLE, m)) == 3
+
+
+class TestCoordinateInvariance:
+    """tau, mdr and the h0m row over 0..T are projective invariants of a
+    reduced curve: a random invertible coordinate change keeps them."""
+
+    @given(hpolys(min_degree=2, max_degree=5),
+           st.lists(coeffs, min_size=9, max_size=9))
+    @settings(max_examples=25, deadline=None)
+    def test_random_reduced_curves(self, f, entries):
+        assume(gcd_many(partials(f)).degree == 0)
+        try:
+            g = linear_change(f, [entries[0:3], entries[3:6], entries[6:]])
+        except SingularMatrix:
+            assume(False)
+        top = 3 * (f.degree - 2)
+
+        def profile(h):
+            return tau(h), mdr(h), [h0m_dim(h, k) for k in range(top + 1)]
+
+        assert profile(g) == profile(f)
 
 
 class TestDegreeBelowTwo:
