@@ -19,6 +19,7 @@ from .curvecat import CurveRecord
 from .logbundle import (NotNodal, freeness, genus_sum_check, h0_tangent,
                         h1_tangent, h2_tangent, is_stable, numerics,
                         stability_sufficient)
+from .ring3 import HPoly
 from .singcat import CUSP, NODE, SmoothCurve, alpha_curve
 from .syzygy import ar_dim, ct, defect, er_dim, h0m_dim, mdr, milnor_dim, tau
 from .torelli import (dimension_obstruction, moduli_dim, severi_dim,
@@ -44,14 +45,13 @@ class UnknownInvariant(ValueError):
     """Requested table invariant is not one of the supported names."""
 
 
-def table_values(rec_or_f, invariant: str, lo: int, hi: int) -> list:
+def table_values(f: HPoly, invariant: str, lo: int, hi: int) -> list:
     """Exact dimension table of one graded invariant over lo..hi inclusive."""
     func = _TABLE_FUNCS.get(invariant)
     if func is None:
         raise UnknownInvariant(
             "unknown invariant %r; choose one of %s"
             % (invariant, ", ".join(sorted(_TABLE_FUNCS))))
-    f = rec_or_f.f if hasattr(rec_or_f, "f") else rec_or_f
     return [func(f, k) for k in range(lo, hi + 1)]
 
 

@@ -449,6 +449,9 @@ def _field(name: str):
         raise CurveFileSyntax("%s: %s" % (name, e)) from e
 
 
+_FILE_KEYS = ("name", "f", "irreducible", "components", "genera", "sing")
+
+
 def load_curve_file(path: str) -> CurveRecord:
     """Parse a line-oriented curve description, build the record, and run
     the declared-data verification.  The file format requires explicit
@@ -470,8 +473,12 @@ def load_curve_file(path: str) -> CurveRecord:
         if key.startswith("expect."):
             with _field(key):
                 expected[key[len("expect."):]] = _parse_expect_value(value)
-        else:
+        elif key in _FILE_KEYS:
             fields[key] = value
+        else:
+            raise CurveFileSyntax(
+                "%s: unknown field; expected one of %s or expect.*"
+                % (key, ", ".join(_FILE_KEYS)))
     for required in ("name", "f"):
         if required not in fields:
             raise CurveFileSyntax("missing required field %r" % required)
@@ -480,7 +487,10 @@ def load_curve_file(path: str) -> CurveRecord:
     if f.degree < 2:
         raise CurveFileSyntax("curve degree must be at least 2, got %d"
                               % f.degree)
-    irreducible = fields.get("irreducible", "true").lower() == "true"
+    irreducible = fields.get("irreducible", "true").lower()
+    if irreducible not in ("true", "false"):
+        raise CurveFileSyntax("irreducible: expected true or false, got %r"
+                              % fields["irreducible"])
     with _field("components"):
         components = int(fields.get("components", "1"))
     genera = None
@@ -493,8 +503,9 @@ def load_curve_file(path: str) -> CurveRecord:
             sings = [_parse_sing(c) for c in fields["sing"].split(";")
                      if c.strip()]
     try:
-        rec = CurveRecord(fields["name"], f, irreducible, components, genera,
-                          tuple(sings), frozenset({"file"}), expected)
+        rec = CurveRecord(fields["name"], f, irreducible == "true",
+                          components, genera, tuple(sings),
+                          frozenset({"file"}), expected)
     except ValueError as e:
         # CurveRecord's own checks name the field at fault
         raise CurveFileSyntax(str(e)) from e

@@ -54,8 +54,6 @@ def numerics(d: int, tau_val: int, k: int = 0) -> BundleNumerics:
 
 def h0_tangent(f: HPoly, k: int) -> int:
     """h^0 of the k-th twist: the dimension of degree-(k+1) syzygies."""
-    if k + 1 < 0:
-        return 0
     return ar_dim(f, k + 1)
 
 

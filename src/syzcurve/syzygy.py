@@ -19,16 +19,16 @@ is read off one elimination, the left kernel at T + 1, which saturation
 and freeness need anyway, once one small rank has certified that f is
 reduced (_certify_reduced); input that is not reduced raises NotReduced.
 
-Above T/2 a certified curve needs no wide elimination at all, and below it
-the saturation needs no exact one.  The defect module sat(J)/J is
+Above T/2 a certified curve needs no wide elimination from k* on, and the
+saturation mostly needs no exact one.  The defect module sat(J)/J is
 self-dual about T/2 (Sernesi 2014; van Straten and Warmt 2015), and the
 Hilbert function c of the singular scheme never decreases, never exceeds
 tau and stops at tau from its regularity index on (Eisenbud, The Geometry
 of Syzygies, ch. 4).  c(k) is the rank of an integer colon matrix, so a
 rank modulo a prime that reaches min(dim S_k, tau) is c(k)
-(saturation_dim).  Once such a rank certifies c(k*) = tau at some
-k* <= T/2, every Jacobian rank above T/2 is read off degree T - t
-(jacobian_dim, _regularity_index).
+(saturation_dim).  Once such a rank certifies c(k*) = tau, the Jacobian
+rank at every t > T/2 with t >= k* is read off the defect module, which
+h0m_dim alone mirrors from degree T - t (jacobian_dim, _regularity_index).
 
 Each curve's certificate, ranks, left kernels and saturation dimensions
 are kept on the polynomial itself, keyed by (kind, degree), and reused for
@@ -102,21 +102,20 @@ def jacobian_dim(f: HPoly, t: int) -> int:
 
     With m = milnor_dim, c(k) = dim S_k - saturation_dim(f, k) the Hilbert
     function of the singular scheme and n = h0m_dim, m = c + n.  c never
-    decreases and stops at tau from the regularity index k0 on (Eisenbud,
-    The Geometry of Syzygies, ch. 4), and n(t) = n(T - t) (Sernesi 2014;
-    van Straten and Warmt 2015).  So once f carries its reducedness
-    certificate and _regularity_index(f) finds k* <= T/2, every t > T/2
-    has m(t) = tau + m(T - t) - c(T - t), where m and c vanish in negative
-    degrees: one rank at degree T - t < T/2 instead of one at t.  A curve
-    that is not certified yet, or whose k* is above T/2, keeps the direct
-    rank, so this never raises NotReduced.
+    decreases and stops at tau from the regularity index on (Eisenbud, The
+    Geometry of Syzygies, ch. 4), and n vanishes above T.  So once f
+    carries its reducedness certificate and _regularity_index(f) finds k*,
+    every t > T/2 with t >= k* has m(t) = tau + h0m_dim(f, t), which
+    h0m_dim reads off degree T - t < T/2: no rank at t.  A degree below k*,
+    or a curve that is not certified yet, keeps the direct rank, so this
+    never raises NotReduced.
     """
     results = _results(f)
     key = ("jdim", t)
     if key not in results:
         top = 3 * (f.degree - 2)
         kstar = _regularity_index(f) if 2 * t > top else None
-        if kstar is not None and 2 * kstar <= top:
+        if kstar is not None and t >= kstar:
             results[key] = dim_graded(t) - _mirrored_milnor_dim(f, t)
         else:
             m = t - (f.degree - 1)
@@ -125,14 +124,11 @@ def jacobian_dim(f: HPoly, t: int) -> int:
 
 
 def _mirrored_milnor_dim(f: HPoly, t: int) -> int:
-    """milnor_dim(f, t) for t > T/2 >= k*, as tau + m(T - t) - c(T - t)
-    (see jacobian_dim); RelationViolated if it leaves [tau, dim S_t]."""
-    d = f.degree
-    s = 3 * (d - 2) - t
-    tau_val = tau(f)
-    m_t = tau_val
-    if s >= 0:
-        m_t += milnor_dim(f, s) - dim_graded(s) + saturation_dim(f, s)
+    """milnor_dim(f, t) for t > T/2 with t >= k*, as tau + h0m_dim(f, t),
+    h0m being 0 above T (see jacobian_dim); RelationViolated if it leaves
+    [tau, dim S_t]."""
+    d, tau_val = f.degree, tau(f)
+    m_t = tau_val + (h0m_dim(f, t) if t <= 3 * (d - 2) else 0)
     if not tau_val <= m_t <= dim_graded(t):
         raise RelationViolated(
             "mirrored Milnor algebra dimension %d leaves [tau, dim S_t] = "
@@ -148,8 +144,8 @@ def _regularity_index(f: HPoly) -> int | None:
     dim S_k >= tau are tried, since fewer forms cannot meet tau conditions.
     c never decreases and stops at tau, so c(k) = tau for every k >= k*;
     k* is the regularity index of the singular scheme unless the modular
-    rank fell short there.  None, and nothing kept, while f carries no
-    reducedness certificate."""
+    rank fell short there; it may lie above T/2.  None, and nothing kept,
+    while f carries no reducedness certificate."""
     results = _results(f)
     if ("reduced", 2 * f.degree - 3) not in results:
         return None
@@ -393,25 +389,17 @@ def saturation_dim(f: HPoly, k: int) -> int:
     - k >= k* (_regularity_index): c(k) = tau, with no elimination;
     - the colon rank modulo a prime, where it reaches its bound
       (_certified_colon_rank);
-    - self-duality, when k* > T/2 and T - k >= k*: h0m(k) = h0m(T - k) =
-      m(T - k) - tau (see h0m_dim), so the value is
-      jacobian_dim(f, k) + milnor_dim(f, T - k) - tau, with a direct
-      Jacobian rank at T - k;
     - sat_basis, the exact colon kernel.
     """
     results = _results(f)
     key = ("sat", k)
     if key in results:
         return results[key]
-    top = 3 * (f.degree - 2)
     kstar = _regularity_index(f)
     if kstar is not None and k >= kstar:
         results[key] = dim_graded(k) - tau(f)
     elif (c := _certified_colon_rank(f, k)) is not None:
         results[key] = dim_graded(k) - c
-    elif kstar is not None and top < 2 * kstar <= 2 * (top - k):
-        results[key] = (jacobian_dim(f, k) + milnor_dim(f, top - k)
-                        - tau(f))
     else:
         sat_basis(f, k)
     return results[key]

@@ -26,6 +26,8 @@ BAD_CURVE_FILES = [
     ("expect.tau", "name = a\nf = x^3 + y^3 + z^3\nexpect.tau = abc\n"),
     ("sing", "name = a\nf = x*y*z\nsing = (1:0:1/0) A1\n"),
     ("encoding", b"name = a\nf = x^3 + y^3 + z^3 \xff\n"),
+    ("irreducible", "name = a\nf = x^3 + y^3 + z^3\nirreducible = yes\n"),
+    ("compnents", "name = a\nf = x^3 + y^3 + z^3\ncompnents = 3\n"),
 ]
 
 

@@ -21,10 +21,6 @@ class TestTableValues:
         assert table_values(f, "h1", -3, 1) == \
             [h1_tangent(f, k) for k in range(-3, 2)]
 
-    def test_accepts_records(self):
-        rec = lookup("triangle")
-        assert table_values(rec, "ar", 0, 1) == [0, 2]
-
     def test_unknown_invariant(self):
         with pytest.raises(UnknownInvariant):
             table_values(lookup("triangle").f, "h3", 0, 1)

@@ -29,10 +29,11 @@ f = x^4 + y^4 + z^4
 sing = (0:0:1) A1
 """
 
-# a line without "=", then a bad integer, a record check, a bad point and
-# a file that is not UTF-8, each with the field its error names
+# a line without "=", then a bad integer, a record check, a bad point, a
+# file that is not UTF-8, an irreducible flag that is neither true nor
+# false and a misspelt key, each with the field its error names
 MALFORMED_FILES = [("line 1", "name only\n")] + [
-    BAD_CURVE_FILES[i] for i in (0, 4, 7, 8)]
+    BAD_CURVE_FILES[i] for i in (0, 4, 7, 8, 9, 10)]
 
 
 def run(capsys, *argv):

@@ -539,14 +539,18 @@ class TestSelfDuality:
                 == middle_out_freeness(name))
 
 
-# 20 catalog curves, the ladder arrangements of degree 7, 8 and 9, and a
-# free arrangement of nine lines in general coordinates, whose regularity
-# index 11 lies above T/2 = 10.5
+# 20 catalog curves, the ladder arrangements of degree 7, 8 and 9, a free
+# arrangement of nine lines in general coordinates, whose regularity index
+# 11 lies above T/2 = 10.5, and thom_sebastiani(1, 7), the only one with a
+# degree T/2 < t < k* (t = 10, k* = 11), where the direct rank stays
 MIRROR_CURVES = ([rec.name for rec in catalog()]
-                 + ["ladder_7", "ladder_8", "ladder_9", "free_nonic"])
+                 + ["ladder_7", "ladder_8", "ladder_9", "free_nonic",
+                    "ts_1_7"])
 
 
 def mirror_curve(name):
+    if name == "ts_1_7":
+        return thom_sebastiani(1, 7).f
     if name == "free_nonic":
         return linear_change(
             parse("x*y*z*(x^2 - y^2)*(y^2 - z^2)*(x^2 - z^2)"),
@@ -554,6 +558,16 @@ def mirror_curve(name):
     if name.startswith("ladder_"):
         return line_product(LADDER_LINES[:int(name[len("ladder_"):])])
     return lookup(name).f
+
+
+def mirror_record(name):
+    """A record of a freshly parsed copy of mirror_curve(name), for
+    build_report; the arrangements outside the catalog declare nothing."""
+    f = parse(str(mirror_curve(name)))
+    if name.startswith("ladder_") or name == "free_nonic":
+        return CurveRecord(name, f, False, f.degree, None, ())
+    rec = thom_sebastiani(1, 7) if name == "ts_1_7" else lookup(name)
+    return dataclasses.replace(rec, f=f)
 
 
 @functools.cache
@@ -565,12 +579,20 @@ def certified_copy(name):
     return g
 
 
+# the degrees above T/2 at which a cold report builds Jacobian rows: T + 1,
+# for tau, and every degree below k*
+UPPER_ROWS = [("two_conics", [7]), ("zariski_sextic", [13]),
+              ("family_2_2_2", [13]), ("ladder_7", [16]),
+              ("free_nonic", [22]), ("ts_2_3", [10]), ("ts_1_7", [19, 10])]
+
+
 class TestUpperHalfFromLowerHalf:
     """Once f is certified reduced and its singular scheme imposes tau
-    conditions from some k0 <= T/2 on (Eisenbud, The Geometry of Syzygies,
-    ch. 4), self-duality of the defect module gives every Jacobian rank
-    above T/2 from degree T - t, and every saturation dimension from k0 to
-    T/2 as dim S_k - tau.  Both are checked against direct eliminations."""
+    conditions from some k* on (Eisenbud, The Geometry of Syzygies, ch. 4),
+    every Jacobian rank at t > T/2 with t >= k* is tau plus the defect
+    module's dimension, read by self-duality from degree T - t, and every
+    saturation dimension from k* on is dim S_k - tau.  Both are checked
+    against direct eliminations."""
 
     @pytest.mark.parametrize("name", MIRROR_CURVES)
     def test_mirrored_ranks_match_direct(self, name):
@@ -581,28 +603,25 @@ class TestUpperHalfFromLowerHalf:
         assert ([jacobian_dim(g, t) for t in degrees]
                 == [direct_jacobian_dim(f, t) for t in degrees])
 
-    @pytest.mark.parametrize(
-        "name", ["two_conics", "zariski_sextic", "family_2_2_2", "ladder_7"])
-    def test_report_builds_jacobian_rows_above_the_middle_only_at_t_plus_1(
-            self, name, monkeypatch):
-        f = parse(str(mirror_curve(name)))
+    @pytest.mark.parametrize("name, upper", UPPER_ROWS,
+                             ids=[name for name, _ in UPPER_ROWS])
+    def test_report_builds_jacobian_rows_above_the_middle_only_below_kstar(
+            self, name, upper, monkeypatch):
+        rec = mirror_record(name)
+        f = rec.f
         top = 3 * (f.degree - 2)
-        if name.startswith("ladder_"):
-            rec = CurveRecord(name, f, False, f.degree, None, ())
-        else:
-            rec = dataclasses.replace(lookup(name), f=f)
         built = []
         real = syzcurve.syzygy.jacobian_rows
         monkeypatch.setattr(syzcurve.syzygy, "jacobian_rows",
                             lambda g, t: built.append(t) or real(g, t))
         build_report(rec)
-        assert 2 * _regularity_index(f) <= top
-        assert [t for t in built if 2 * t > top] == [top + 1]
+        assert [t for t in built if 2 * t > top] == upper
+        assert all(t < _regularity_index(f) for t in upper if t <= top)
 
     @pytest.mark.parametrize("name, values", [
         ("free_nonic", (49, 3, True, (3, 5), (0,) * 22)),
         ("ts_2_3", (12, 1, False, None, (0, 0, 0, 1, 1, 1, 1, 0, 0, 0)))])
-    def test_regularity_index_above_the_middle_keeps_the_direct_path(
+    def test_regularity_index_above_the_middle_keeps_every_value(
             self, name, values):
         f = certified_copy(name)
         v = freeness(f)
@@ -614,7 +633,8 @@ class TestUpperHalfFromLowerHalf:
     def test_mirror_outside_its_range_names_degree_and_t(self, monkeypatch):
         f = parse(str(TRIANGLE))
         tau(f)
-        monkeypatch.setattr(syzcurve.syzygy, "milnor_dim", lambda g, k: -5)
+        # m(3) = tau + h0m(3) = 1 + 10 exceeds dim S_3 = 10
+        monkeypatch.setattr(syzcurve.syzygy, "h0m_dim", lambda g, k: 10)
         with pytest.raises(RelationViolated, match="at degree 3, t=3$"):
             jacobian_dim(f, 3)
 
@@ -622,7 +642,7 @@ class TestUpperHalfFromLowerHalf:
 class TestCertifiedColonRank:
     """saturation_dim takes the rank of the colon matrix modulo a prime and
     accepts it only where it reaches its bound; elsewhere it falls back to
-    self-duality or to the exact colon kernel (sat_basis)."""
+    the exact colon kernel (sat_basis)."""
 
     @pytest.mark.parametrize("name", MIRROR_CURVES)
     def test_certified_rank_is_the_exact_rank(self, name):
@@ -646,16 +666,13 @@ class TestCertifiedColonRank:
     def test_unlucky_prime_changes_no_value(self, name, below_tau_only,
                                             monkeypatch):
         # a modular rank one short of the rank fails the certificate, so
-        # every value below comes from the exact fallbacks: from sat_basis
-        # when every rank falls short, and from self-duality too on curves
-        # whose k* lies above T/2 (ts_2_3) when only the ranks below tau
-        # do, tau being a third of the colon matrix's rows
+        # every value below comes from the exact fallback, sat_basis: at
+        # every degree when every rank falls short, and below k* when only
+        # the ranks below tau do, tau being a third of the colon matrix's
+        # rows
         def values():
-            f = parse(str(mirror_curve(name)))
-            if name == "ladder_7":
-                rec = CurveRecord(name, f, False, f.degree, None, ())
-            else:
-                rec = dataclasses.replace(lookup(name), f=f)
+            rec = mirror_record(name)
+            f = rec.f
             report = build_report(rec).to_json()
             return (report,
                     [(saturation_dim(f, k), h0m_dim(f, k), defect(f, k))
