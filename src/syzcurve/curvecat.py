@@ -50,6 +50,9 @@ class CurveRecord:
         if (self.component_genera is not None
                 and len(self.component_genera) != self.components):
             raise ValueError("genera: need one genus per component")
+        if self.component_genera and min(self.component_genera) < 0:
+            raise ValueError("genera: a geometric genus is at least 0, got %d"
+                             % min(self.component_genera))
 
     @property
     def degree(self) -> int:

@@ -125,8 +125,8 @@ def freeness(f: HPoly) -> FreenessVerdict:
     """
     d = f.degree
     top = 3 * (d - 2)
-    # mdr and tau certify f reduced, so the scan below can read h0m_dim
-    # above the regularity index without a saturation kernel
+    # mdr and tau certify f reduced, so the scan below reads every
+    # saturation from the regularity index on as dim S_k - tau, no rank
     r = mdr(f)
     t = tau(f)
     witness = None

@@ -19,16 +19,17 @@ is read off one elimination, the left kernel at T + 1, which saturation
 and freeness need anyway, once one small rank has certified that f is
 reduced (_certify_reduced); input that is not reduced raises NotReduced.
 
-Above T/2 a certified curve needs no wide elimination from k* on, and the
-saturation mostly needs no exact one.  The defect module sat(J)/J is
-self-dual about T/2 (Sernesi 2014; van Straten and Warmt 2015), and the
-Hilbert function c of the singular scheme never decreases, never exceeds
-tau and stops at tau from its regularity index on (Eisenbud, The Geometry
-of Syzygies, ch. 4).  c(k) is the rank of an integer colon matrix, so a
-rank modulo a prime that reaches min(dim S_k, tau) is c(k)
-(saturation_dim).  Once such a rank certifies c(k*) = tau, the Jacobian
-rank at every t > T/2 with t >= k* is read off the defect module, which
-h0m_dim alone mirrors from degree T - t (jacobian_dim, _regularity_index).
+Above T/2 a certified curve needs no wide elimination, and the
+saturation mostly needs no exact one.  The Hilbert function c of the
+singular scheme never decreases, never exceeds tau and stops at tau from
+its regularity index k* on (Eisenbud, The Geometry of Syzygies, ch. 4).
+c(k) is the rank of an integer colon matrix, so a rank modulo a prime that
+reaches min(dim S_k, tau) is c(k), and from k* on the saturation needs no
+rank at all (saturation_dim, _regularity_index).  The essential relations
+of degree q count the defect tau - c in degree 2d - 5 - q (Dimca 2013), so
+the Jacobian rank at every t > T/2 is read off one defect at T - t < T/2
+(jacobian_dim).  The defect module sat(J)/J is self-dual about T/2
+(Sernesi 2014; van Straten and Warmt 2015), which h0m_dim alone applies.
 
 Each curve's certificate, ranks, left kernels and saturation dimensions
 are kept on the polynomial itself, keyed by (kind, degree), and reused for
@@ -97,44 +98,36 @@ def jacobian_rows(f: HPoly, t: int) -> QMatrix:
 
 def jacobian_dim(f: HPoly, t: int) -> int:
     """Dimension of the degree-t piece of the Jacobian ideal (f_x, f_y, f_z):
-    the rank of jacobian_rows(f, t), or, above T/2 (T = 3(d-2)), the same
-    value read off the lower half.
+    the rank of jacobian_rows(f, t), or, above T/2 (T = 3(d-2)) once f
+    carries its reducedness certificate, the same value read off one
+    defect of the lower half.
 
-    With m = milnor_dim, c(k) = dim S_k - saturation_dim(f, k) the Hilbert
-    function of the singular scheme and n = h0m_dim, m = c + n.  c never
-    decreases and stops at tau from the regularity index on (Eisenbud, The
-    Geometry of Syzygies, ch. 4), and n vanishes above T.  So once f
-    carries its reducedness certificate and _regularity_index(f) finds k*,
-    every t > T/2 with t >= k* has m(t) = tau + h0m_dim(f, t), which
-    h0m_dim reads off degree T - t < T/2: no rank at t.  A degree below k*,
-    or a curve that is not certified yet, keeps the direct rank, so this
-    never raises NotReduced.
+    For a reduced curve the essential relations of degree q count the
+    defect of the singular scheme in degree 2d - 5 - q: er_dim(f, q) =
+    defect(f, 2d - 5 - q) (Dimca 2013, Syzygies of Jacobian ideals and
+    defects of linear systems).  Solved for the rank with q = t - d + 1,
+    dim J_t = 3 dim S_q - koszul_dim(f, q) - defect(f, T - t), where the
+    defect is tau for t > T.  For 2t > T the degree T - t lies below T/2,
+    where defect needs one rank and one saturation: no rank at t.  A curve
+    that is not certified yet keeps the direct rank, so this never raises
+    NotReduced; RelationViolated if the value leaves [0, dim S_t].
     """
     results = _results(f)
     key = ("jdim", t)
     if key not in results:
-        top = 3 * (f.degree - 2)
-        kstar = _regularity_index(f) if 2 * t > top else None
-        if kstar is not None and t >= kstar:
-            results[key] = dim_graded(t) - _mirrored_milnor_dim(f, t)
+        d, top = f.degree, 3 * (f.degree - 2)
+        q = t - d + 1
+        if 2 * t > top and ("reduced", 2 * d - 3) in results:
+            j = (3 * dim_graded(q) - koszul_dim(f, q)
+                 - (tau(f) if t > top else defect(f, top - t)))
+            if not 0 <= j <= dim_graded(t):
+                raise RelationViolated(
+                    "Jacobian dimension %d leaves [0, dim S_t] = [0, %d] "
+                    "at degree %d, t=%d" % (j, dim_graded(t), d, t))
+            results[key] = j
         else:
-            m = t - (f.degree - 1)
-            results[key] = 0 if m < 0 else rank(jacobian_rows(f, t))
+            results[key] = 0 if q < 0 else rank(jacobian_rows(f, t))
     return results[key]
-
-
-def _mirrored_milnor_dim(f: HPoly, t: int) -> int:
-    """milnor_dim(f, t) for t > T/2 with t >= k*, as tau + h0m_dim(f, t),
-    h0m being 0 above T (see jacobian_dim); RelationViolated if it leaves
-    [tau, dim S_t]."""
-    d, tau_val = f.degree, tau(f)
-    m_t = tau_val + (h0m_dim(f, t) if t <= 3 * (d - 2) else 0)
-    if not tau_val <= m_t <= dim_graded(t):
-        raise RelationViolated(
-            "mirrored Milnor algebra dimension %d leaves [tau, dim S_t] = "
-            "[%d, %d] at degree %d, t=%d"
-            % (m_t, tau_val, dim_graded(t), d, t))
-    return m_t
 
 
 def _regularity_index(f: HPoly) -> int | None:
@@ -144,8 +137,9 @@ def _regularity_index(f: HPoly) -> int | None:
     dim S_k >= tau are tried, since fewer forms cannot meet tau conditions.
     c never decreases and stops at tau, so c(k) = tau for every k >= k*;
     k* is the regularity index of the singular scheme unless the modular
-    rank fell short there; it may lie above T/2.  None, and nothing kept,
-    while f carries no reducedness certificate."""
+    rank fell short there; it may lie above T/2.  Only saturation_dim reads
+    it, as a shortcut.  None, and nothing kept, while f carries no
+    reducedness certificate."""
     results = _results(f)
     if ("reduced", 2 * f.degree - 3) not in results:
         return None
@@ -206,8 +200,7 @@ def koszul_dim(f: HPoly, m: int) -> int:
     then has depth at least 2 (Eisenbud, Commutative Algebra, ch. 17).  A
     reduced f leaves its partials no common factor, so _certify_reduced
     proves f reduced first and raises NotReduced otherwise.  Below degree
-    d - 1 the span is 0, which is returned without the formula: the mdr
-    scan asks for those degrees on every call and mostly stops there.
+    d - 1 the span is 0, which is returned without the formula.
     """
     _certify_reduced(f)
     d = f.degree

@@ -28,6 +28,9 @@ BAD_CURVE_FILES = [
     ("encoding", b"name = a\nf = x^3 + y^3 + z^3 \xff\n"),
     ("irreducible", "name = a\nf = x^3 + y^3 + z^3\nirreducible = yes\n"),
     ("compnents", "name = a\nf = x^3 + y^3 + z^3\ncompnents = 3\n"),
+    ("genera", "name = a\nf = x*y*z\nirreducible = false\n"
+               "components = 3\ngenera = -1,1,0\n"
+               "sing = (1:0:0) A1 ; (0:1:0) A1 ; (0:0:1) A1\n"),
 ]
 
 

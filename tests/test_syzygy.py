@@ -513,6 +513,19 @@ class TestSelfDuality:
         assert sum(self.check("ladder_septic")) > 0
 
     @pytest.mark.parametrize("name", SELF_DUAL_CURVES)
+    def test_mdr_from_the_regularity_index(self, name):
+        # er_dim(f, q) = defect(f, 2d - 5 - q) (Dimca 2013), and the defect
+        # is tau below degree 0, stays nonzero below the regularity index
+        # k* and vanishes from k* on: so mdr = 2d - 4 - k* when tau > 0,
+        # k* from the direct rows, and a smooth curve has no essential
+        # relation at all
+        f = self_dual_curve(name)
+        if tau(f) == 0:
+            assert mdr(f) is None
+        else:
+            assert mdr(f) == 2 * f.degree - 4 - regularity_index(name)
+
+    @pytest.mark.parametrize("name", SELF_DUAL_CURVES)
     def test_no_saturation_kernel_above_the_middle(self, name, monkeypatch):
         # nor any colon rank above the regularity index k*, whose colon
         # rank ends the scan for it: the saturation dimensions from k* on
@@ -541,8 +554,8 @@ class TestSelfDuality:
 
 # 20 catalog curves, the ladder arrangements of degree 7, 8 and 9, a free
 # arrangement of nine lines in general coordinates, whose regularity index
-# 11 lies above T/2 = 10.5, and thom_sebastiani(1, 7), the only one with a
-# degree T/2 < t < k* (t = 10, k* = 11), where the direct rank stays
+# 11 lies above T/2 = 10.5, and thom_sebastiani(1, 7), whose degree t = 10
+# lies strictly between T/2 = 9 and its regularity index 11
 MIRROR_CURVES = ([rec.name for rec in catalog()]
                  + ["ladder_7", "ladder_8", "ladder_9", "free_nonic",
                     "ts_1_7"])
@@ -579,20 +592,23 @@ def certified_copy(name):
     return g
 
 
-# the degrees above T/2 at which a cold report builds Jacobian rows: T + 1,
-# for tau, and every degree below k*
+# the degrees above T/2 at which a cold report builds Jacobian rows: only
+# T + 1, for tau, whatever the regularity index
 UPPER_ROWS = [("two_conics", [7]), ("zariski_sextic", [13]),
               ("family_2_2_2", [13]), ("ladder_7", [16]),
-              ("free_nonic", [22]), ("ts_2_3", [10]), ("ts_1_7", [19, 10])]
+              ("free_nonic", [22]), ("ts_2_3", [10]), ("ts_1_7", [19])]
 
 
 class TestUpperHalfFromLowerHalf:
-    """Once f is certified reduced and its singular scheme imposes tau
-    conditions from some k* on (Eisenbud, The Geometry of Syzygies, ch. 4),
-    every Jacobian rank at t > T/2 with t >= k* is tau plus the defect
-    module's dimension, read by self-duality from degree T - t, and every
-    saturation dimension from k* on is dim S_k - tau.  Both are checked
-    against direct eliminations."""
+    """Once f is certified reduced, the essential relations of degree q
+    count the defect of the singular scheme in degree 2d - 5 - q (Dimca
+    2013): er_dim(f, q) = defect(f, 2d - 5 - q).  So every Jacobian rank at
+    t > T/2 is 3 dim S_q - koszul_dim(f, q) - defect(f, T - t) with
+    q = t - d + 1, the defect being tau above T, and no rank at t is
+    taken.  Once the singular scheme imposes tau conditions from some k*
+    on (Eisenbud, The Geometry of Syzygies, ch. 4), every saturation
+    dimension from k* on is dim S_k - tau.  Both are checked against
+    direct eliminations."""
 
     @pytest.mark.parametrize("name", MIRROR_CURVES)
     def test_mirrored_ranks_match_direct(self, name):
@@ -605,7 +621,7 @@ class TestUpperHalfFromLowerHalf:
 
     @pytest.mark.parametrize("name, upper", UPPER_ROWS,
                              ids=[name for name, _ in UPPER_ROWS])
-    def test_report_builds_jacobian_rows_above_the_middle_only_below_kstar(
+    def test_report_builds_jacobian_rows_above_the_middle_only_at_t_plus_1(
             self, name, upper, monkeypatch):
         rec = mirror_record(name)
         f = rec.f
@@ -615,8 +631,7 @@ class TestUpperHalfFromLowerHalf:
         monkeypatch.setattr(syzcurve.syzygy, "jacobian_rows",
                             lambda g, t: built.append(t) or real(g, t))
         build_report(rec)
-        assert [t for t in built if 2 * t > top] == upper
-        assert all(t < _regularity_index(f) for t in upper if t <= top)
+        assert [t for t in built if 2 * t > top] == upper == [top + 1]
 
     @pytest.mark.parametrize("name, values", [
         ("free_nonic", (49, 3, True, (3, 5), (0,) * 22)),
@@ -633,8 +648,9 @@ class TestUpperHalfFromLowerHalf:
     def test_mirror_outside_its_range_names_degree_and_t(self, monkeypatch):
         f = parse(str(TRIANGLE))
         tau(f)
-        # m(3) = tau + h0m(3) = 1 + 10 exceeds dim S_3 = 10
-        monkeypatch.setattr(syzcurve.syzygy, "h0m_dim", lambda g, k: 10)
+        # dim J_3 = 3 dim S_1 - koszul(1) - defect(0) = 9 - 0 - 10 leaves
+        # [0, dim S_3] = [0, 10]
+        monkeypatch.setattr(syzcurve.syzygy, "defect", lambda g, k: 10)
         with pytest.raises(RelationViolated, match="at degree 3, t=3$"):
             jacobian_dim(f, 3)
 
