@@ -6,12 +6,14 @@ content stripping).  The one kernel routine, kernel_basis, eliminates the
 sparsest columns first and back-substitutes in integers, returning coprime
 integer rows; solve makes Fractions only of the one solution it returns.
 No floating point is used anywhere; every rank, kernel and membership
-answer is exact.  The one rank taken modulo a prime (_rank_mod_p) is a
-lower bound, which callers accept only where it meets an upper bound they
-know.
+answer is exact.  A rank taken modulo a prime (_rank_mod_p) is a lower
+bound, which callers accept only where it meets an upper bound they know:
+rank accepts it where it reaches min(rows, cols), and eliminates over Q
+only where it falls short.
 """
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd
 
@@ -145,8 +147,13 @@ def _echelon(rows, ncols):
 
 
 def rank(m: QMatrix) -> int:
-    """Rank of m, exact."""
+    """Rank of m, exact: min(rows, cols) when the rank modulo a prime, a
+    lower bound (_rank_mod_p), reaches it, else by elimination over Q."""
     rows = _integer_rows(m.row(i) for i in range(m.rows))
+    full = min(m.rows, m.cols)
+    ints = QMatrix(m.rows, m.cols, [x for row in rows for x in row])
+    if _rank_mod_p(ints, full) == full:
+        return full
     r, _ = _echelon(rows, m.cols)
     return r
 
@@ -215,26 +222,37 @@ def _rank_mod_p(m: QMatrix, bound: int) -> int:
     Reducing modulo a prime can only lose rank, so this is a lower bound on
     rank(m); a caller that knows bound >= rank(m) and finds it reached has
     the exact rank, and otherwise has to eliminate over Q.  Rows are
-    reduced one at a time against the pivot rows found so far, so the
-    elimination stops at the first row that reaches bound.  Entries are
-    reduced modulo p only where a row becomes a pivot or a multiplier is
-    read off.
+    reduced one at a time, kept sparse, from their least nonzero column up,
+    so the elimination stops at the first row that reaches bound; a pivot
+    row, scaled to 1, updates only the entries where it is nonzero.
+    Entries are reduced modulo p only where a row becomes a pivot or a
+    multiplier is read off.
     """
     p = (1 << 61) - 1
-    pivots = []     # (column, pivot row from that column on, scaled to 1)
+    pivots = {}     # pivot column -> the pivot row's (column, value) pairs
     for i in range(m.rows):
         if len(pivots) >= bound:
             break
-        v = m.row(i)
-        for c, tail in pivots:
+        v = {j: x for j, x in enumerate(m.row(i)) if x}
+        cols = list(v)  # v's columns in ascending order, fill-in included
+        k = 0
+        while k < len(cols):
+            c = cols[k]
+            k += 1
             a = v[c] % p
-            if a:
-                v[c:] = [x - a * y for x, y in zip(v[c:], tail)]
-        v = [x % p for x in v]
-        c = next((j for j, x in enumerate(v) if x), -1)
-        if c >= 0:
-            inv = pow(v[c], -1, p)
-            pivots.append((c, [x * inv % p for x in v[c:]]))
+            if not a:
+                continue
+            if c not in pivots:
+                inv = pow(a, -1, p)
+                pivots[c] = [(j, v[j] * inv % p) for j in cols[k:]
+                             if v[j] % p]
+                break
+            for j, y in pivots[c]:
+                if j in v:
+                    v[j] -= a * y
+                else:
+                    v[j] = -a * y
+                    insort(cols, j)
     return min(len(pivots), bound)
 
 

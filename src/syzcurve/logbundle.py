@@ -125,8 +125,9 @@ def freeness(f: HPoly) -> FreenessVerdict:
     """
     d = f.degree
     top = 3 * (d - 2)
-    # mdr and tau certify f reduced, so the scan below reads every
-    # saturation from the regularity index on as dim S_k - tau, no rank
+    # mdr and tau certify f reduced, and with mdr kept the scan below reads
+    # every saturation from the regularity index 2d - 4 - mdr on as
+    # dim S_k - tau, no rank
     r = mdr(f)
     t = tau(f)
     witness = None

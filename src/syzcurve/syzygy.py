@@ -24,12 +24,14 @@ saturation mostly needs no exact one.  The Hilbert function c of the
 singular scheme never decreases, never exceeds tau and stops at tau from
 its regularity index k* on (Eisenbud, The Geometry of Syzygies, ch. 4).
 c(k) is the rank of an integer colon matrix, so a rank modulo a prime that
-reaches min(dim S_k, tau) is c(k), and from k* on the saturation needs no
-rank at all (saturation_dim, _regularity_index).  The essential relations
-of degree q count the defect tau - c in degree 2d - 5 - q (Dimca 2013), so
-the Jacobian rank at every t > T/2 is read off one defect at T - t < T/2
-(jacobian_dim).  The defect module sat(J)/J is self-dual about T/2
-(Sernesi 2014; van Straten and Warmt 2015), which h0m_dim alone applies.
+reaches min(dim S_k, tau) is c(k).  The essential relations of degree q
+count the defect tau - c in degree 2d - 5 - q (Dimca 2013).  So the least
+of them, mdr, is 2d - 4 - k*: once mdr is known, the saturation from
+k* = 2d - 4 - mdr on needs no rank at all, and from 2d - 4 on it never
+does (saturation_dim).  The same identity reads the Jacobian rank at every
+t > T/2 off one defect at T - t < T/2 (jacobian_dim).  The defect module
+sat(J)/J is self-dual about T/2 (Sernesi 2014; van Straten and Warmt
+2015), which h0m_dim alone applies.
 
 Each curve's certificate, ranks, left kernels and saturation dimensions
 are kept on the polynomial itself, keyed by (kind, degree), and reused for
@@ -127,29 +129,6 @@ def jacobian_dim(f: HPoly, t: int) -> int:
             results[key] = j
         else:
             results[key] = 0 if q < 0 else rank(jacobian_rows(f, t))
-    return results[key]
-
-
-def _regularity_index(f: HPoly) -> int | None:
-    """k*: the least k <= T at which the singular scheme certifiably
-    imposes tau conditions on forms of degree k, _certified_colon_rank(f,
-    k) = tau, or None when there is none; kept on f.  Only degrees with
-    dim S_k >= tau are tried, since fewer forms cannot meet tau conditions.
-    c never decreases and stops at tau, so c(k) = tau for every k >= k*;
-    k* is the regularity index of the singular scheme unless the modular
-    rank fell short there; it may lie above T/2.  Only saturation_dim reads
-    it, as a shortcut.  None, and nothing kept, while f carries no
-    reducedness certificate."""
-    results = _results(f)
-    if ("reduced", 2 * f.degree - 3) not in results:
-        return None
-    top = 3 * (f.degree - 2)
-    key = ("kstar", top)
-    if key not in results:
-        t = tau(f)
-        results[key] = next(
-            (k for k in range(top + 1) if dim_graded(k) >= t
-             and _certified_colon_rank(f, k) == t), None)
     return results[key]
 
 
@@ -340,29 +319,6 @@ def _colon_matrix(f: HPoly, k: int) -> QMatrix:
     return QMatrix.from_rows(rows)
 
 
-def _certified_colon_rank(f: HPoly, k: int) -> int | None:
-    """The rank c(k) of the colon matrix in degree k when its rank modulo a
-    prime proves it, or None; kept on f, None included.
-
-    Modulo a prime the rank of an integer matrix can only drop, and over Q
-    the colon rank is at most its row count and dim S_k, and at most tau
-    once f carries its reducedness certificate: c is the Hilbert function
-    of the singular scheme, of length tau (Eisenbud, The Geometry of
-    Syzygies, ch. 4).  So a modular rank that reaches the least of these
-    bounds is the rank over Q.
-    """
-    results = _results(f)
-    key = ("crank", k)
-    if key not in results:
-        m = _colon_matrix(f, k)
-        bound = min(m.rows, m.cols)
-        if ("reduced", 2 * f.degree - 3) in results:
-            bound = min(bound, tau(f))
-        r = _rank_mod_p(m, bound)
-        results[key] = r if r == bound else None
-    return results[key]
-
-
 def sat_basis(f: HPoly, k: int) -> list:
     """Basis of the degree-k piece of the saturation of the Jacobian ideal:
     the kernel of the colon matrix (_colon_matrix), exact."""
@@ -379,20 +335,33 @@ def saturation_dim(f: HPoly, k: int) -> int:
     """Dimension of the degree-k piece of the saturation of the Jacobian
     ideal, dim S_k - c(k); kept on f.  The first of these that applies:
 
-    - k >= k* (_regularity_index): c(k) = tau, with no elimination;
-    - the colon rank modulo a prime, where it reaches its bound
-      (_certified_colon_rank);
+    - f is certified reduced and k >= k* = 2d - 4 - mdr: c(k) = tau, with
+      no elimination, since er_dim(f, q) = tau - c(2d - 5 - q) (Dimca
+      2013) puts the least q with er_dim(f, q) != 0 at 2d - 4 - k*;
+    - the colon rank modulo a prime, which can only drop, where it reaches
+      min(dim S_k, its row count, tau once f is certified);
     - sat_basis, the exact colon kernel.
+
+    mdr is read only when it is kept on f, and as 0 until then or when it
+    is None, since c(k) = tau for k >= 2d - 4 whatever mdr is.  mdr's own
+    scan reaches this function through jacobian_dim and defect.
     """
     results = _results(f)
     key = ("sat", k)
     if key in results:
         return results[key]
-    kstar = _regularity_index(f)
-    if kstar is not None and k >= kstar:
+    d = f.degree
+    certified = ("reduced", 2 * d - 3) in results
+    r = results.get(("mdr", 3 * (d - 1))) or 0
+    if certified and k >= 2 * d - 4 - r:
         results[key] = dim_graded(k) - tau(f)
-    elif (c := _certified_colon_rank(f, k)) is not None:
-        results[key] = dim_graded(k) - c
+        return results[key]
+    m = _colon_matrix(f, k)
+    bound = min(m.rows, m.cols)
+    if certified:
+        bound = min(bound, tau(f))
+    if _rank_mod_p(m, bound) == bound:
+        results[key] = dim_graded(k) - bound
     else:
         sat_basis(f, k)
     return results[key]

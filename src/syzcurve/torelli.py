@@ -15,7 +15,7 @@ from typing import Optional
 
 from .exactlin import QMatrix, kernel_basis
 from .polygcd import gcd_many
-from .ring3 import HPoly, ProjPoint, eval_at, mono_basis, partials
+from .ring3 import HPoly, ProjPoint, eval_at, mono_basis
 from .singcat import CUSP, NODE
 
 
@@ -43,8 +43,16 @@ class LinearSystem:
         return len(self.basis)
 
 
+def _powers(point: ProjPoint, mono_list) -> list:
+    """[a^0, ..., a^k] for each coordinate a of p, k the monomials' degree."""
+    k = mono_list[0].degree if mono_list else 0
+    return [[a ** e for e in range(k + 1)] for a in point.coords]
+
+
 def _eval_row(mono_list, point):
-    return [eval_at(HPoly.monomial(m), point) for m in mono_list]
+    """The value a^ex b^ey c^ez of each monomial at p = (a:b:c)."""
+    pa, pb, pc = _powers(point, mono_list)
+    return [pa[ex] * pb[ey] * pc[ez] for ex, ey, ez in mono_list]
 
 
 def _tangent_direction(point: ProjPoint, tangent: HPoly) -> tuple:
@@ -62,13 +70,15 @@ def _tangent_direction(point: ProjPoint, tangent: HPoly) -> tuple:
 
 
 def _derivative_row(mono_list, point, direction):
-    row = []
-    for m in mono_list:
-        g = HPoly.monomial(m)
-        gx, gy, gz = partials(g)
-        row.append(sum(Fraction(w) * eval_at(p, point)
-                       for w, p in zip(direction, (gx, gy, gz))))
-    return row
+    """The derivative sum_i w_i d_i(m)(p) of each monomial m at p along
+    w = direction, from the exponents: d_x(x^ex y^ey z^ez) is
+    ex x^(ex-1) y^ey z^ez, and a zero exponent gives a zero term."""
+    pa, pb, pc = _powers(point, mono_list)
+    u, v, w = map(Fraction, direction)
+    return [(u * ex * pa[ex - 1] * pb[ey] * pc[ez] if ex else 0)
+            + (v * ey * pa[ex] * pb[ey - 1] * pc[ez] if ey else 0)
+            + (w * ez * pa[ex] * pb[ey] * pc[ez - 1] if ez else 0)
+            for ex, ey, ez in mono_list]
 
 
 def linear_system_points(points, m: int) -> LinearSystem:

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+import syzcurve.exactlin
 import syzcurve.syzygy
 from syzcurve import (CurveRecord, NotReduced, QMatrix, RelationViolated,
                       ar_basis, ar_dim, build_report, catalog, ct, defect,
@@ -21,9 +22,8 @@ from syzcurve import (CurveRecord, NotReduced, QMatrix, RelationViolated,
 from syzcurve.curvecat import lookup, non_ts_family, thom_sebastiani
 from syzcurve.ring3 import (Mono, SingularMatrix, _basis_index, mult_matrix,
                             partials)
-from syzcurve.syzygy import (_certified_colon_rank, _colon_matrix,
-                             _jac_left_kernel, _regularity_index, _results,
-                             jacobian_rows)
+from syzcurve.syzygy import (_colon_matrix, _jac_left_kernel, _rank_mod_p,
+                             _results, jacobian_rows)
 
 from conftest import (LADDER_LINES, coeffs, direct_jacobian_dim, hpolys,
                       koszul_rank, line_product, same_span, smooth_milnor_dim)
@@ -527,13 +527,12 @@ class TestSelfDuality:
 
     @pytest.mark.parametrize("name", SELF_DUAL_CURVES)
     def test_no_saturation_kernel_above_the_middle(self, name, monkeypatch):
-        # nor any colon rank above the regularity index k*, whose colon
-        # rank ends the scan for it: the saturation dimensions from k* on
-        # are dim S_k - tau.  An exact colon kernel is left only for the
-        # degrees below k* whose modular rank stays below its bound.
+        # nor any colon matrix from the regularity index k* = 2d - 4 - mdr
+        # on, once mdr is kept: the saturation dimensions there are
+        # dim S_k - tau.  A smooth curve, mdr None, reads k* as 2d - 4
         f = parse(str(self_dual_curve(name)))
-        k0 = regularity_index(name)
-        seen = {"_certified_colon_rank": [], "sat_basis": []}
+        k0 = 2 * f.degree - 4 - (mdr(f) or 0)
+        seen = {"_colon_matrix": [], "sat_basis": []}
         for path, ks in seen.items():
             def spy(g, k, ks=ks, real=getattr(syzcurve.syzygy, path)):
                 ks.append(k)
@@ -541,9 +540,7 @@ class TestSelfDuality:
             monkeypatch.setattr(syzcurve.syzygy, path, spy)
         freeness(f)
         table_values(f, "h1", -3, f.degree)
-        assert _regularity_index(f) == k0
-        assert max(seen["_certified_colon_rank"]) == k0
-        assert all(k < k0 for k in seen["sat_basis"])
+        assert all(k < k0 for ks in seen.values() for k in ks)
 
     @pytest.mark.parametrize("name", SELF_DUAL_CURVES)
     def test_half_scan_matches_full_middle_out_scan(self, name):
@@ -643,7 +640,7 @@ class TestUpperHalfFromLowerHalf:
         top = 3 * (f.degree - 2)
         assert (tau(f), mdr(f), v.free, v.exponents,
                 tuple(h0m_dim(f, k) for k in range(top + 1))) == values
-        assert 2 * _regularity_index(f) > top
+        assert 2 * (2 * f.degree - 4 - mdr(f)) > top
 
     def test_mirror_outside_its_range_names_degree_and_t(self, monkeypatch):
         f = parse(str(TRIANGLE))
@@ -656,51 +653,102 @@ class TestUpperHalfFromLowerHalf:
 
 
 class TestCertifiedColonRank:
-    """saturation_dim takes the rank of the colon matrix modulo a prime and
-    accepts it only where it reaches its bound; elsewhere it falls back to
-    the exact colon kernel (sat_basis)."""
+    """saturation_dim reads c(k) = tau from the regularity index k* =
+    2d - 4 - mdr on, once mdr is kept; below it, it takes the rank of the
+    colon matrix modulo a prime and accepts it only where it reaches its
+    bound, and elsewhere falls back to the exact colon kernel
+    (sat_basis)."""
 
     @pytest.mark.parametrize("name", MIRROR_CURVES)
     def test_certified_rank_is_the_exact_rank(self, name):
         g = certified_copy(name)
+        mdr(g)
         for k in range(3 * (g.degree - 2) + 1):
             m = _colon_matrix(g, k)
             # the same rank, eliminated with the shorter side as columns
             exact = rank(m if m.cols <= m.rows else m.transpose())
-            assert _certified_colon_rank(g, k) in (None, exact)
+            # a modular rank that reaches its bound is the exact rank
+            bound = min(m.rows, m.cols, tau(g))
+            r = _rank_mod_p(m, bound)
+            assert r <= exact and (r < bound or r == exact)
             assert saturation_dim(g, k) == dim_graded(k) - exact
+
+    @pytest.mark.parametrize("name", [rec.name for rec in catalog()
+                                      if "smooth" not in rec.tags]
+                             + ["ladder_7", "ladder_8", "ladder_9",
+                                "free_nonic"])
+    def test_regularity_index_is_2d_minus_4_minus_mdr(self, name):
+        # er_dim(f, q) = tau - c(2d - 5 - q) (Dimca 2013), and c never
+        # decreases and stops at tau from k* on: so the exact colon rank is
+        # tau at k* = 2d - 4 - mdr and below tau at k* - 1, and
+        # saturation_dim, which with mdr kept reads c(k*) = tau with no
+        # rank, agrees at both degrees once the values that mdr's own scan
+        # kept there are dropped
+        g = certified_copy(name)
+        k = 2 * g.degree - 4 - mdr(g)
+
+        def exact(j):
+            if j < 0:
+                return 0
+            m = _colon_matrix(g, j)
+            return rank(m if m.cols <= m.rows else m.transpose())
+        assert exact(k) == tau(g) > exact(k - 1)
+        degrees = [j for j in (k - 1, k) if j >= 0]
+        for j in degrees:
+            _results(g).pop(("sat", j), None)
+        assert ([saturation_dim(g, j) for j in degrees]
+                == [dim_graded(j) - exact(j) for j in degrees])
 
     @pytest.mark.parametrize("name, kstar", [
         ("free_nonic", 11), ("ladder_7", 5), ("ladder_8", 6),
         ("ladder_9", 7)])
     def test_regularity_index(self, name, kstar):
-        assert _regularity_index(certified_copy(name)) == kstar
+        g = certified_copy(name)
+        assert 2 * g.degree - 4 - mdr(g) == kstar
+
+    @staticmethod
+    def values(name):
+        """The report of a fresh copy of mirror_curve(name), and its
+        saturation, h0m and defect over 0..T."""
+        rec = mirror_record(name)
+        f = rec.f
+        report = build_report(rec).to_json()
+        return (report,
+                [(saturation_dim(f, k), h0m_dim(f, k), defect(f, k))
+                 for k in range(3 * (f.degree - 2) + 1)])
 
     @pytest.mark.parametrize("below_tau_only", [False, True])
     @pytest.mark.parametrize("name", [rec.name for rec in catalog()]
                              + ["ladder_7"])
     def test_unlucky_prime_changes_no_value(self, name, below_tau_only,
                                             monkeypatch):
-        # a modular rank one short of the rank fails the certificate, so
-        # every value below comes from the exact fallback, sat_basis: at
-        # every degree when every rank falls short, and below k* when only
-        # the ranks below tau do, tau being a third of the colon matrix's
-        # rows
-        def values():
-            rec = mirror_record(name)
-            f = rec.f
-            report = build_report(rec).to_json()
-            return (report,
-                    [(saturation_dim(f, k), h0m_dim(f, k), defect(f, k))
-                     for k in range(3 * (f.degree - 2) + 1)])
-        want = values()
+        # a modular colon rank one short of the rank fails the certificate,
+        # so every saturation that saturation_dim does not read as
+        # dim S_k - tau, at k below 2d - 4 - mdr (below 2d - 4 before mdr
+        # is kept), comes from the exact fallback, sat_basis: at every such
+        # degree when every rank falls short, and where c(k) < tau when
+        # only the ranks below tau do, tau being a third of the colon
+        # matrix's rows
+        want = self.values(name)
         modular = syzcurve.syzygy._rank_mod_p
 
         def unlucky(m, bound):
             r = modular(m, bound)
             return r if below_tau_only and 3 * r == m.rows else r - 1
         monkeypatch.setattr(syzcurve.syzygy, "_rank_mod_p", unlucky)
-        assert values() == want
+        assert self.values(name) == want
+
+    @pytest.mark.parametrize("name", [rec.name for rec in catalog()]
+                             + ["ladder_7"])
+    def test_unlucky_prime_in_rank_changes_no_value(self, name, monkeypatch):
+        # exactlin.rank accepts a modular rank only where it reaches
+        # min(rows, cols); one short, every rank, the reducedness
+        # certificate's included, comes from the elimination over Q
+        want = self.values(name)
+        modular = syzcurve.exactlin._rank_mod_p
+        monkeypatch.setattr(syzcurve.exactlin, "_rank_mod_p",
+                            lambda m, bound: modular(m, bound) - 1)
+        assert self.values(name) == want
 
 
 def jacobian_span_equal(f, g):
