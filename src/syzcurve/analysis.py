@@ -218,17 +218,10 @@ class ExpectationResult:
     ok: bool
 
 
-# keys computed before the others: each certifies f reduced, which lets the
-# Jacobian ranks above T/2 behind ar_at and ar_profile be read off the lower
-# half instead of eliminated
-_CERTIFYING_KEYS = ("tau", "mdr", "ct")
-
-
 def check_expectations(rec: CurveRecord) -> list:
     """Compute every expected invariant of a record and compare.  Results
     already kept on rec.f by earlier calls are reused, not recomputed.
-    The expected tau, mdr and ct are computed first; the results come one
-    per expectation key, in sorted key order."""
+    The results come one per expectation key, in sorted key order."""
     f = rec.f
     d = f.degree
     n, kappa, _ = _sing_counts(rec.sings)
@@ -262,8 +255,7 @@ def check_expectations(rec: CurveRecord) -> list:
                                     is not None),
     }
     results = []
-    for key in sorted(rec.expected,
-                      key=lambda k: (k not in _CERTIFYING_KEYS, k)):
+    for key in sorted(rec.expected):
         want = rec.expected[key]
         if key not in computed:
             got, ok = "<unknown expectation key>", False
@@ -279,4 +271,4 @@ def check_expectations(rec: CurveRecord) -> list:
                      for (_, v), (_, g) in zip(want, got))
         results.append(ExpectationResult(rec.name, key, repr(want),
                                          repr(got), ok))
-    return sorted(results, key=lambda r: r.key)
+    return results

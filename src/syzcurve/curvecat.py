@@ -441,6 +441,17 @@ def _parse_expect_value(text: str):
     return int(text)
 
 
+_PAIR_RE = re.compile(r"\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*\)")
+
+
+def _parse_pairs(text: str) -> tuple:
+    """`(k, v); (k, v); ...`, one pair or more: the form of ar_at, h0m_at."""
+    pairs = [_PAIR_RE.fullmatch(chunk.strip()) for chunk in text.split(";")]
+    if not all(pairs):
+        raise ValueError("expected (k, v) integer pairs separated by ';'")
+    return tuple((int(m[1]), int(m[2])) for m in pairs)
+
+
 @contextmanager
 def _field(name: str):
     """Report a ValueError or ZeroDivisionError (a bad number, point,
@@ -474,8 +485,11 @@ def load_curve_file(path: str) -> CurveRecord:
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
         if key.startswith("expect."):
+            name = key[len("expect."):]
             with _field(key):
-                expected[key[len("expect."):]] = _parse_expect_value(value)
+                expected[name] = (_parse_pairs(value)
+                                  if name in ("ar_at", "h0m_at")
+                                  else _parse_expect_value(value))
         elif key in _FILE_KEYS:
             fields[key] = value
         else:

@@ -125,9 +125,8 @@ def freeness(f: HPoly) -> FreenessVerdict:
     """
     d = f.degree
     top = 3 * (d - 2)
-    # mdr and tau certify f reduced, and with mdr kept the scan below reads
-    # every saturation from the regularity index 2d - 4 - mdr on as
-    # dim S_k - tau, no rank
+    # with mdr kept, the scan below reads every saturation from the
+    # regularity index k* = 2d - 4 - mdr on as dim S_k - tau, no rank
     r = mdr(f)
     t = tau(f)
     witness = None

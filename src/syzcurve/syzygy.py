@@ -13,16 +13,17 @@ degree-m forms to a f_x + b f_y + c f_z.  The trivial relations themselves
 need no elimination: for a reduced curve their span has the dimension of
 the Koszul complex's closed formula (koszul_dim).
 
-The invariants are defined for reduced curves, and for those the Milnor
-algebra S/J has dimension tau in every degree above T = 3(d-2).  So tau
-is read off one elimination, the left kernel at T + 1, which saturation
-and freeness need anyway, once one small rank has certified that f is
-reduced (_certify_reduced); input that is not reduced raises NotReduced.
+The invariants are defined for reduced curves, so one gcd proves f
+reduced before anything is kept for it (_certify_reduced, behind
+_results), and every invariant of input that is not reduced raises
+NotReduced.  For a reduced curve the Milnor algebra S/J has dimension tau
+in every degree above T = 3(d-2).  So tau is read off one elimination,
+the left kernel at T + 1, which saturation and freeness need anyway.
 
-Above T/2 a certified curve needs no wide elimination, and the
-saturation mostly needs no exact one.  The Hilbert function c of the
-singular scheme never decreases, never exceeds tau and stops at tau from
-its regularity index k* on (Eisenbud, The Geometry of Syzygies, ch. 4).
+Above T/2 no wide elimination is needed, and the saturation mostly needs
+no exact one.  The Hilbert function c of the singular scheme never
+decreases, never exceeds tau and stops at tau from its regularity index
+k* on (Eisenbud, The Geometry of Syzygies, ch. 4).
 c(k) is the rank of an integer colon matrix, so a rank modulo a prime that
 reaches min(dim S_k, tau) is c(k).  The essential relations of degree q
 count the defect tau - c in degree 2d - 5 - q (Dimca 2013).  So the least
@@ -33,16 +34,16 @@ t > T/2 off one defect at T - t < T/2 (jacobian_dim).  The defect module
 sat(J)/J is self-dual about T/2 (Sernesi 2014; van Straten and Warmt
 2015), which h0m_dim alone applies.
 
-Each curve's certificate, ranks, left kernels and saturation dimensions
-are kept on the polynomial itself, keyed by (kind, degree), and reused for
-as long as the polynomial lives.
+Each curve's ranks, left kernels and saturation dimensions are kept on
+the polynomial itself, keyed by (kind, degree), and reused for as long as
+the polynomial lives.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .exactlin import QMatrix, _rank_mod_p, kernel_basis, rank
-from .polygcd import common_degree, exact_quotient, gcd_many
+from .polygcd import exact_quotient, gcd_many
 from .ring3 import (HPoly, Mono, dim_graded, mono_basis, _basis_index,
                     partials, product_rows)
 
@@ -65,12 +66,16 @@ def _results(f: HPoly) -> dict:
     """The results already computed for f, keyed by (kind, degree).
 
     Every cached invariant starts here, so this is where a polynomial of
-    degree below 2, which is no curve with a Jacobian ideal, is refused.
+    degree below 2, which is no curve with a Jacobian ideal, is refused,
+    and where f is proved reduced (_certify_reduced).  A polynomial that
+    has results is reduced; one that is not keeps nothing, so every call
+    on it raises NotReduced.
     """
     if f._results is None:
         if f.degree < 2:
             raise ValueError(
                 "curve degree must be at least 2, got degree %d" % f.degree)
+        _certify_reduced(f)
         f._results = {}
     return f._results
 
@@ -100,9 +105,8 @@ def jacobian_rows(f: HPoly, t: int) -> QMatrix:
 
 def jacobian_dim(f: HPoly, t: int) -> int:
     """Dimension of the degree-t piece of the Jacobian ideal (f_x, f_y, f_z):
-    the rank of jacobian_rows(f, t), or, above T/2 (T = 3(d-2)) once f
-    carries its reducedness certificate, the same value read off one
-    defect of the lower half.
+    the rank of jacobian_rows(f, t), or, above T/2 (T = 3(d-2)), the same
+    value read off one defect of the lower half.
 
     For a reduced curve the essential relations of degree q count the
     defect of the singular scheme in degree 2d - 5 - q: er_dim(f, q) =
@@ -110,16 +114,15 @@ def jacobian_dim(f: HPoly, t: int) -> int:
     defects of linear systems).  Solved for the rank with q = t - d + 1,
     dim J_t = 3 dim S_q - koszul_dim(f, q) - defect(f, T - t), where the
     defect is tau for t > T.  For 2t > T the degree T - t lies below T/2,
-    where defect needs one rank and one saturation: no rank at t.  A curve
-    that is not certified yet keeps the direct rank, so this never raises
-    NotReduced; RelationViolated if the value leaves [0, dim S_t].
+    where defect needs one rank and one saturation: no rank at t, and
+    RelationViolated if the value leaves [0, dim S_t].
     """
     results = _results(f)
     key = ("jdim", t)
     if key not in results:
         d, top = f.degree, 3 * (f.degree - 2)
         q = t - d + 1
-        if 2 * t > top and ("reduced", 2 * d - 3) in results:
+        if 2 * t > top:
             j = (3 * dim_graded(q) - koszul_dim(f, q)
                  - (tau(f) if t > top else defect(f, top - t)))
             if not 0 <= j <= dim_graded(t):
@@ -177,11 +180,10 @@ def koszul_dim(f: HPoly, m: int) -> int:
     The formula is exact once the Koszul complex on the partials is exact
     at H_2, which holds when they share no factor: the ideal they generate
     then has depth at least 2 (Eisenbud, Commutative Algebra, ch. 17).  A
-    reduced f leaves its partials no common factor, so _certify_reduced
-    proves f reduced first and raises NotReduced otherwise.  Below degree
-    d - 1 the span is 0, which is returned without the formula.
+    reduced f leaves its partials no common factor, and _results refuses
+    any other f (NotReduced).  Below degree d - 1 the span is 0.
     """
-    _certify_reduced(f)
+    _results(f)
     d = f.degree
     if m < d - 1:
         return 0
@@ -190,9 +192,7 @@ def koszul_dim(f: HPoly, m: int) -> int:
 
 def er_dim(f: HPoly, m: int) -> int:
     """Dimension of the degree-m piece of the essential (non-trivial)
-    relation module: ar_dim minus the span of the trivial relations.
-    NotReduced for a curve that is not reduced (koszul_dim), raised before
-    the Jacobian rank of ar_dim is eliminated."""
+    relation module: ar_dim minus the span of the trivial relations."""
     k = koszul_dim(f, m)
     a = ar_dim(f, m)
     if a < k:
@@ -216,47 +216,27 @@ def milnor_dim(f: HPoly, k: int) -> int:
     return dim_graded(k) - jacobian_dim(f, k)
 
 
-# (a, b) in the certificate's pair f_x + a f_z, f_y + b f_z, tried in order
-_CERTIFICATE_PAIRS = ((3, 7), (5, 2), (1, 11))
-
-
 def _certify_reduced(f: HPoly) -> None:
     """Prove f reduced, or raise NotReduced naming its repeated components.
 
-    A repeated factor of f divides every partial.  For g1 = f_x + a f_z and
-    g2 = f_y + b f_z, both nonzero, the map (p, q) -> p g1 + q g2 from
-    S_{d-2}^2 to S_{2d-3} is injective exactly when g1 and g2 are coprime,
-    which leaves the partials no common factor; that is one rank per pair,
-    polygcd.common_degree(g1, g2) == 0.
-    Only when every pair fails is the gcd of the partials computed: in
-    characteristic 0, f is reduced iff it is constant.  A failed pair alone
-    never rejects f.  Keeps the certifying pair on f, or None when the gcd
-    decided.
+    A repeated factor of f divides every partial, and in characteristic 0
+    f is reduced iff the partials have a constant gcd.  The pencil
+    f_x + 3 f_z, f_y + 7 f_z, f_z spans the same forms as the partials,
+    so it has the same gcd; when its first two members are coprime,
+    gcd_many decides that with one rank (polygcd.common_degree).
 
     When f = prod p_i^e_i, the gcd g of the partials is prod p_i^(e_i - 1),
     so g divided by the gcd of g and its own partials is the product of
     the repeated components p_i, which is what NotReduced names.
     """
-    results = _results(f)
-    key = ("reduced", 2 * f.degree - 3)
-    if key in results:
-        return
     fx, fy, fz = partials(f)
-    for a, b in _CERTIFICATE_PAIRS:
-        g1, g2 = fx + fz * a, fy + fz * b
-        if g1.is_zero() or g2.is_zero():
-            continue
-        if common_degree(g1, g2) == 0:
-            results[key] = (a, b)
-            return
-    common = gcd_many((fx, fy, fz))
+    common = gcd_many((fx + fz * 3, fy + fz * 7, fz))
     if common.degree > 0:
         repeated = exact_quotient(
             common, gcd_many((common, *partials(common))))
         raise NotReduced(
             "curve of degree %d is not reduced: it repeats the factor %s"
             % (f.degree, repeated))
-    results[key] = None
 
 
 def tau(f: HPoly) -> int:
@@ -264,14 +244,12 @@ def tau(f: HPoly) -> int:
 
     For reduced f the Milnor algebra has dimension tau in every degree
     > 3(d-2) (Choudary and Dimca 1994; du Plessis and Wall 1999), so one
-    degree is enough once _certify_reduced has proved f reduced; NotReduced
-    is raised otherwise.  Degree 3(d-2) itself is not enough: there the
-    Milnor algebra of a smooth curve keeps its socle, m = 1 with tau = 0.
-    The value is the dimension of the left kernel at 3(d-2) + 1, which
+    degree is enough.  Degree 3(d-2) itself is not: there the Milnor
+    algebra of a smooth curve keeps its socle, m = 1 with tau = 0.  The
+    value is the dimension of the left kernel at 3(d-2) + 1, which
     saturation, freeness and the reports need too, so this is the only
     Jacobian elimination tau does.
     """
-    _certify_reduced(f)
     return len(_jac_left_kernel(f, 3 * (f.degree - 2) + 1))
 
 
@@ -335,11 +313,11 @@ def saturation_dim(f: HPoly, k: int) -> int:
     """Dimension of the degree-k piece of the saturation of the Jacobian
     ideal, dim S_k - c(k); kept on f.  The first of these that applies:
 
-    - f is certified reduced and k >= k* = 2d - 4 - mdr: c(k) = tau, with
-      no elimination, since er_dim(f, q) = tau - c(2d - 5 - q) (Dimca
-      2013) puts the least q with er_dim(f, q) != 0 at 2d - 4 - k*;
+    - k >= k* = 2d - 4 - mdr: c(k) = tau, with no elimination, since
+      er_dim(f, q) = tau - c(2d - 5 - q) (Dimca 2013) puts the least q
+      with er_dim(f, q) != 0 at 2d - 4 - k*;
     - the colon rank modulo a prime, which can only drop, where it reaches
-      min(dim S_k, its row count, tau once f is certified);
+      min(dim S_k, its row count, tau);
     - sat_basis, the exact colon kernel.
 
     mdr is read only when it is kept on f, and as 0 until then or when it
@@ -351,15 +329,12 @@ def saturation_dim(f: HPoly, k: int) -> int:
     if key in results:
         return results[key]
     d = f.degree
-    certified = ("reduced", 2 * d - 3) in results
     r = results.get(("mdr", 3 * (d - 1))) or 0
-    if certified and k >= 2 * d - 4 - r:
+    if k >= 2 * d - 4 - r:
         results[key] = dim_graded(k) - tau(f)
         return results[key]
     m = _colon_matrix(f, k)
-    bound = min(m.rows, m.cols)
-    if certified:
-        bound = min(bound, tau(f))
+    bound = min(m.rows, m.cols, tau(f))
     if _rank_mod_p(m, bound) == bound:
         results[key] = dim_graded(k) - bound
     else:
@@ -373,14 +348,12 @@ def h0m_dim(f: HPoly, k: int) -> int:
 
     For a reduced curve this module is self-dual about T/2, T = 3(d-2):
     h0m(k) = h0m(T - k) (Sernesi 2014; van Straten and Warmt 2015).  So
-    for T/2 < k <= T the value is read from degree T - k, behind
-    _certify_reduced (NotReduced for input that is not reduced), and no
-    wide saturation kernel of the upper half is eliminated.  Every other
-    degree is saturation_dim(f, k) minus jacobian_dim(f, k).
+    for T/2 < k <= T the value is read from degree T - k, and no wide
+    saturation kernel of the upper half is eliminated.  Every other degree
+    is saturation_dim(f, k) minus jacobian_dim(f, k).
     """
     top = 3 * (f.degree - 2)
     if top < 2 * k <= 2 * top:
-        _certify_reduced(f)
         return h0m_dim(f, top - k)
     val = saturation_dim(f, k) - jacobian_dim(f, k)
     if val < 0:

@@ -11,8 +11,8 @@ from syzcurve.syzygy import jacobian_rows
 LADDER_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, 3), (3, 1, 2),
                 (-3, 1, 3), (1, -1, 1), (2, -3, -3), (-2, -3, 1))
 
-# malformed curve files, each with the field its error names; the last is
-# not UTF-8
+# malformed curve files, each with the field its error names; the one named
+# encoding is not UTF-8
 BAD_CURVE_FILES = [
     ("components", "name = a\nf = x*y*z\nirreducible = false\n"
                    "components = three\n"),
@@ -31,6 +31,9 @@ BAD_CURVE_FILES = [
     ("genera", "name = a\nf = x*y*z\nirreducible = false\n"
                "components = 3\ngenera = -1,1,0\n"
                "sing = (1:0:0) A1 ; (0:1:0) A1 ; (0:0:1) A1\n"),
+    ("expect.ar_at", "name = a\nf = x^3 + y^3 + z^3\nexpect.ar_at = 1,2\n"),
+    ("expect.h0m_at", "name = a\nf = x^3 + y^3 + z^3\n"
+                      "expect.h0m_at = (0, 0); (1, 0, 0)\n"),
 ]
 
 
@@ -111,7 +114,7 @@ def koszul_rank(f, m) -> int:
 def direct_jacobian_dim(f, t) -> int:
     """Rank of jacobian_rows(f, t): the dimension of the degree-t piece of
     the Jacobian ideal by its own elimination, which jacobian_dim replaces
-    by a lower-half reading above T/2 once f is certified reduced."""
+    by a lower-half reading above T/2."""
     return rank(jacobian_rows(f, t))
 
 

@@ -136,10 +136,11 @@ class TestExpectationComparator:
 
     @pytest.mark.parametrize("name", ["nine_d4_nonic", "zariski_sextic"])
     def test_certifies_before_the_relation_profile(self, name, monkeypatch):
-        # tau, mdr and ct run first, so the Jacobian ranks above T/2 behind
-        # ar_at and ar_profile are read off the lower half: a cold run
-        # builds Jacobian rows above T/2 only at T + 1, and still returns
-        # its results in sorted key order
+        # f is certified reduced before any result is kept, so the
+        # Jacobian ranks above T/2 behind ar_at and ar_profile are read off
+        # the lower half whatever the key order: a cold run builds Jacobian
+        # rows above T/2 only at T + 1, and returns its results in sorted
+        # key order
         import dataclasses
 
         import syzcurve.syzygy

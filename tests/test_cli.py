@@ -31,9 +31,10 @@ sing = (0:0:1) A1
 
 # a line without "=", then a bad integer, a record check, a bad point, a
 # file that is not UTF-8, an irreducible flag that is neither true nor
-# false and a misspelt key, each with the field its error names
+# false, a misspelt key and a pair expectation that is not a pair, each
+# with the field its error names
 MALFORMED_FILES = [("line 1", "name only\n")] + [
-    BAD_CURVE_FILES[i] for i in (0, 4, 7, 8, 9, 10)]
+    BAD_CURVE_FILES[i] for i in (0, 4, 7, 8, 9, 10, 12)]
 
 
 def run(capsys, *argv):

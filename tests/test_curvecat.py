@@ -1,13 +1,16 @@
 """Curve catalog: record integrity, declared-data verification, the two
 parametrized families, and the curve-file format."""
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from syzcurve import (CurveFileSyntax, CurveRecord, DeclaredSing, ProjPoint,
-                      SingType, VerificationFailed, catalog, load_curve_file,
-                      lookup, mdr, non_ts_family, parse, tau,
-                      thom_sebastiani, verify_record)
+                      SingType, VerificationFailed, catalog,
+                      check_expectations, load_curve_file, lookup, mdr,
+                      non_ts_family, parse, tau, thom_sebastiani,
+                      verify_record)
 
 from conftest import BAD_CURVE_FILES, write_curve_file
 
@@ -134,11 +137,27 @@ class TestCurveFile:
                         "components = 3\n"
                         "sing = (1:0:0) A1 ; (0:1:0) A1 ; (0:0:1) A1\n"
                         "expect.alpha = 5/6\nexpect.exponents = (1,1)\n"
-                        "expect.defect_profile = 2,0,0\n")
+                        "expect.defect_profile = 2,0,0\n"
+                        "expect.ar_at = (1,2)\n"
+                        "expect.h0m_at = (0, 0); (2, 0)\n")
         rec = load_curve_file(str(path))
         assert rec.expected["alpha"] == F(5, 6)
         assert rec.expected["exponents"] == (1, 1)
         assert rec.expected["defect_profile"] == (2, 0, 0)
+        # ar_at and h0m_at take (k, v) pairs, one or several
+        assert rec.expected["ar_at"] == ((1, 2),)
+        assert rec.expected["h0m_at"] == ((0, 0), (2, 0))
+        ok = {r.key: r.ok for r in check_expectations(rec)}
+        assert ok["ar_at"] and ok["h0m_at"]
+
+    def test_readme_example_holds(self, tmp_path):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = re.search(r"```text\n(# a one-node quartic\n.*?)```",
+                          readme.read_text(encoding="utf-8"), re.S).group(1)
+        path = write_curve_file(tmp_path / "readme.curve", block)
+        results = check_expectations(load_curve_file(path))
+        assert len(results) == 5
+        assert [(r.key, r.computed) for r in results if not r.ok] == []
 
     def test_tangent_declaration(self, tmp_path):
         path = tmp_path / "cusp.curve"

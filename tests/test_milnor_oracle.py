@@ -32,10 +32,10 @@ def standard_monomial_counts(f, top):
 
 
 class TestAgainstSympy:
-    """For a reduced curve, milnor_dim in degrees 0..T+2, T = 3(d-2), on
-    both of its paths: after tau, which certifies f reduced, the degrees
-    above T/2 are read off the lower half through the kernel at T+1; on a
-    fresh copy every degree is a direct rank."""
+    """For a reduced curve, milnor_dim in degrees 0..T+2, T = 3(d-2), whose
+    degrees above T/2 are read off the lower half: after tau, which keeps
+    the kernel at T+1, and on a fresh copy, which reaches it from degree
+    0 up."""
 
     @given(hpolys(min_degree=2, max_degree=5))
     @settings(max_examples=25, deadline=None)

@@ -328,33 +328,41 @@ class TestNotReduced:
             mdr(parse("x^2*y"))
         assert built == []
 
-    def test_mirror_degrees_refuse_non_reduced_input(self):
-        # h0m self-duality needs a reduced curve, so no mirrored value is
-        # returned; the lower half and degrees past T stay direct
+    def test_every_invariant_refuses_non_reduced_input(self):
+        # _results certifies f before anything is kept, so every degree
+        # raises: the lower half, the self-dual upper half and past T
         f = parse("x^2*y*z")
-        with pytest.raises(NotReduced, match="repeats the factor x$"):
-            h0m_dim(f, 4)
-        assert h0m_dim(f, 0) >= 0 and h0m_dim(f, 7) >= 0
+        top = 3 * (f.degree - 2)
+        funcs = (jacobian_dim, milnor_dim, ar_dim, er_dim, koszul_dim,
+                 saturation_dim, sat_basis, ar_basis, h0m_dim, defect)
+        for _ in range(2):
+            for func in funcs:
+                for k in (0, top // 2 + 1, top + 1):
+                    with pytest.raises(NotReduced,
+                                       match="repeats the factor x$"):
+                        func(f, k)
+            # nothing is kept, so the next call certifies and raises again
+            assert f._results is None
 
-    def test_cone_retries_the_next_pair(self):
-        # f_y + 7 f_z vanishes, so the first pair (3, 7) is skipped
+    def test_vanishing_pencil_member_is_skipped(self):
+        # f_y + 7 f_z vanishes, so the gcd runs on f_x + 3 f_z and f_z
         f = parse("x^3 - (7*y - z)^3")
         fx, fy, fz = partials(f)
         assert (fy + fz * 7).is_zero()
         assert tau(f) == 4
-        assert _results(f)[("reduced", 3)] == (5, 2)
 
-    def test_failed_pairs_alone_never_reject(self, monkeypatch):
-        monkeypatch.setattr(syzcurve.syzygy, "_CERTIFICATE_PAIRS", ((3, 7),))
-        f = parse("x^3 - (7*y - z)^3")
-        assert tau(f) == 4
-        assert _results(f)[("reduced", 3)] is None
-        # with no pair at all the gcd of the partials decides, here on the
-        # nine-line arrangement, whose partials have degree 8
-        monkeypatch.setattr(syzcurve.syzygy, "_CERTIFICATE_PAIRS", ())
-        f = line_product(LADDER_LINES)
-        assert tau(f) == 36
-        assert _results(f)[("reduced", 15)] is None
+    def test_first_pair_sharing_a_factor_still_certifies(self):
+        # ts_2_3 after z <- z - 3x - 7y: f_x + 3 f_z and f_y + 7 f_z share
+        # x y^2, and f_z finishes the gcd; the values are ts_2_3's
+        f = parse("x^2*y^3 + (z - 3*x - 7*y)^5")
+        fx, fy, fz = partials(f)
+        assert gcd_many((fx + fz * 3, fy + fz * 7)) == parse("x*y^2")
+        g = parse("x^2*y^3 + z^5")
+        top = 3 * (f.degree - 2)
+        assert (tau(f), mdr(f)) == (tau(g), mdr(g)) == (12, 1)
+        assert ([h0m_dim(f, k) for k in range(top + 1)]
+                == [h0m_dim(g, k) for k in range(top + 1)]
+                == [0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
 
     def test_certificate_is_kept_on_the_polynomial(self, monkeypatch):
         f = parse("y^2*z - x^2*(x + z)")
@@ -581,9 +589,9 @@ def mirror_record(name):
 
 
 @functools.cache
-def certified_copy(name):
-    """A freshly parsed copy of mirror_curve(name), certified reduced by
-    tau, shared by the tests that compare its values with direct ones."""
+def shared_copy(name):
+    """A freshly parsed copy of mirror_curve(name), with tau computed,
+    shared by the tests that compare its values with direct ones."""
     g = parse(str(mirror_curve(name)))
     tau(g)
     return g
@@ -597,9 +605,9 @@ UPPER_ROWS = [("two_conics", [7]), ("zariski_sextic", [13]),
 
 
 class TestUpperHalfFromLowerHalf:
-    """Once f is certified reduced, the essential relations of degree q
-    count the defect of the singular scheme in degree 2d - 5 - q (Dimca
-    2013): er_dim(f, q) = defect(f, 2d - 5 - q).  So every Jacobian rank at
+    """For a reduced curve the essential relations of degree q count the
+    defect of the singular scheme in degree 2d - 5 - q (Dimca 2013):
+    er_dim(f, q) = defect(f, 2d - 5 - q).  So every Jacobian rank at
     t > T/2 is 3 dim S_q - koszul_dim(f, q) - defect(f, T - t) with
     q = t - d + 1, the defect being tau above T, and no rank at t is
     taken.  Once the singular scheme imposes tau conditions from some k*
@@ -610,7 +618,7 @@ class TestUpperHalfFromLowerHalf:
     @pytest.mark.parametrize("name", MIRROR_CURVES)
     def test_mirrored_ranks_match_direct(self, name):
         f = mirror_curve(name)
-        g = certified_copy(name)
+        g = shared_copy(name)
         top = 3 * (g.degree - 2)
         degrees = range(top // 2 + 1, max(top + 2, 2 * g.degree) + 1)
         assert ([jacobian_dim(g, t) for t in degrees]
@@ -635,7 +643,7 @@ class TestUpperHalfFromLowerHalf:
         ("ts_2_3", (12, 1, False, None, (0, 0, 0, 1, 1, 1, 1, 0, 0, 0)))])
     def test_regularity_index_above_the_middle_keeps_every_value(
             self, name, values):
-        f = certified_copy(name)
+        f = shared_copy(name)
         v = freeness(f)
         top = 3 * (f.degree - 2)
         assert (tau(f), mdr(f), v.free, v.exponents,
@@ -661,7 +669,7 @@ class TestCertifiedColonRank:
 
     @pytest.mark.parametrize("name", MIRROR_CURVES)
     def test_certified_rank_is_the_exact_rank(self, name):
-        g = certified_copy(name)
+        g = shared_copy(name)
         mdr(g)
         for k in range(3 * (g.degree - 2) + 1):
             m = _colon_matrix(g, k)
@@ -684,7 +692,7 @@ class TestCertifiedColonRank:
         # saturation_dim, which with mdr kept reads c(k*) = tau with no
         # rank, agrees at both degrees once the values that mdr's own scan
         # kept there are dropped
-        g = certified_copy(name)
+        g = shared_copy(name)
         k = 2 * g.degree - 4 - mdr(g)
 
         def exact(j):
@@ -703,7 +711,7 @@ class TestCertifiedColonRank:
         ("free_nonic", 11), ("ladder_7", 5), ("ladder_8", 6),
         ("ladder_9", 7)])
     def test_regularity_index(self, name, kstar):
-        g = certified_copy(name)
+        g = shared_copy(name)
         assert 2 * g.degree - 4 - mdr(g) == kstar
 
     @staticmethod
