@@ -16,11 +16,10 @@ from functools import cache
 from typing import Optional
 
 from .curvecat import CurveRecord
-from .logbundle import (NotNodal, freeness, genus_sum_check, h0_tangent,
-                        h1_tangent, h2_tangent, is_stable, numerics,
-                        stability_sufficient)
+from .logbundle import (freeness, genus_sum_check, h0_tangent, h1_tangent,
+                        h2_tangent, is_stable, numerics, stability_sufficient)
 from .ring3 import HPoly
-from .singcat import CUSP, NODE, SmoothCurve, alpha_curve
+from .singcat import CUSP, NODE, NotNodal, SmoothCurve, alpha_curve
 from .syzygy import ar_dim, ct, defect, er_dim, h0m_dim, mdr, milnor_dim, tau
 from .torelli import (dimension_obstruction, moduli_dim, severi_dim,
                       torelli_cuspidal, torelli_nodal)

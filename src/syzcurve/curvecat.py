@@ -386,41 +386,14 @@ def verify_record(rec: CurveRecord, complete: bool = False):
 # ---------------------------------------------------------------------------
 # curve files
 
-_POINT_RE = re.compile(r"^\(([^:]+):([^:]+):([^:]+)\)$")
-_TYPE_RES = [
-    (re.compile(r"^A(\d+)$"), lambda m: SingType.A(int(m.group(1)))),
-    (re.compile(r"^D(\d+)$"), lambda m: SingType.D(int(m.group(1)))),
-    (re.compile(r"^E([678])$"), lambda m: SingType.E(int(m.group(1)))),
-    (re.compile(r"^ORD(\d+)$"), lambda m: SingType.ordinary(int(m.group(1)))),
-    (re.compile(r"^WH\(([^,]+),([^)]+)\)$"),
-     lambda m: SingType.weighted(Fraction(m.group(1)), Fraction(m.group(2)))),
-    (re.compile(r"^T\(2,(\d+),(\d+)\)$"),
-     lambda m: SingType.T(int(m.group(1)), int(m.group(2)))),
-]
-
-
-def _parse_sing_type(token: str) -> SingType:
-    for rx, build in _TYPE_RES:
-        m = rx.match(token)
-        if m:
-            return build(m)
-    raise CurveFileSyntax("unknown singularity type %r" % token)
-
-
-def _parse_point(token: str) -> ProjPoint:
-    m = _POINT_RE.match(token.strip())
-    if not m:
-        raise CurveFileSyntax("malformed point %r" % token)
-    return ProjPoint(*(Fraction(c.strip()) for c in m.groups()))
-
-
 def _parse_sing(chunk: str) -> DeclaredSing:
+    """`(a:b:c) TYPE [tangent = l]`, read by the parsers of each part."""
     chunk = chunk.strip()
     m = re.match(r"^(\([^)]*\))\s+(\S+)(?:\s+tangent\s*=\s*(.+))?$", chunk)
     if not m:
-        raise CurveFileSyntax("malformed singularity declaration %r" % chunk)
-    point = _parse_point(m.group(1))
-    stype = _parse_sing_type(m.group(2))
+        raise ValueError("malformed singularity declaration %r" % chunk)
+    point = ProjPoint.parse(m.group(1))
+    stype = SingType.parse(m.group(2))
     tangent = parse(m.group(3).strip()) if m.group(3) else None
     return DeclaredSing(stype, point, tangent=tangent)
 
@@ -441,15 +414,18 @@ def _parse_expect_value(text: str):
     return int(text)
 
 
-_PAIR_RE = re.compile(r"\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*\)")
+_PAIR_RE = re.compile(r"\(\s*([+-]?\d+)\s*,\s*([+-]?\d+|(?i:none))\s*\)")
 
 
-def _parse_pairs(text: str) -> tuple:
-    """`(k, v); (k, v); ...`, one pair or more: the form of ar_at, h0m_at."""
+def _parse_pairs(text: str, none_ok: bool) -> tuple:
+    """`(k, v); (k, v); ...`, one pair or more: the form of ar_at, h0m_at.
+    Where none_ok, v may be `none` (any case): "any nonzero value"."""
     pairs = [_PAIR_RE.fullmatch(chunk.strip()) for chunk in text.split(";")]
-    if not all(pairs):
-        raise ValueError("expected (k, v) integer pairs separated by ';'")
-    return tuple((int(m[1]), int(m[2])) for m in pairs)
+    if not all(pairs) or not none_ok and any(m[2].isalpha() for m in pairs):
+        raise ValueError("expected (k, v) integer pairs separated by ';'"
+                         + (", v may be none" if none_ok else ""))
+    return tuple((int(m[1]), None if m[2].isalpha() else int(m[2]))
+                 for m in pairs)
 
 
 @contextmanager
@@ -487,7 +463,7 @@ def load_curve_file(path: str) -> CurveRecord:
         if key.startswith("expect."):
             name = key[len("expect."):]
             with _field(key):
-                expected[name] = (_parse_pairs(value)
+                expected[name] = (_parse_pairs(value, name == "h0m_at")
                                   if name in ("ar_at", "h0m_at")
                                   else _parse_expect_value(value))
         elif key in _FILE_KEYS:

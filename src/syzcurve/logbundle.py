@@ -16,16 +16,12 @@ from math import comb
 from typing import Optional
 
 from .ring3 import HPoly
-from .singcat import NODE
+from .singcat import NODE, NotNodal
 from .syzygy import RelationViolated, ar_dim, h0m_dim, mdr, tau
 
 
 class NegativeH2(ArithmeticError):
     """Euler characteristic bookkeeping produced a negative h^2."""
-
-
-class NotNodal(ValueError):
-    """Check is only valid for curves whose singularities are all nodes."""
 
 
 @dataclass(frozen=True)

@@ -346,6 +346,14 @@ class ProjPoint:
     def __str__(self):
         return "(%s:%s:%s)" % self.coords
 
+    @staticmethod
+    def parse(text: str) -> "ProjPoint":
+        """Read the form __str__ prints, `(a:b:c)` with rational a, b, c."""
+        text = text.strip()
+        if text[:1] + text[-1:] != "()" or text.count(":") != 2:
+            raise ValueError("malformed point %r" % text)
+        return ProjPoint(*map(Fraction, text[1:-1].split(":")))
+
     def __repr__(self):
         return "ProjPoint%s" % (self.coords,)
 

@@ -1,10 +1,10 @@
 """Local data of declared plane curve singularities.
 
 Each supported germ type carries a closed-form minimal Arnold exponent and
-local Milnor/Tjurina numbers.  Declarations live on curve records; the
-verification routine checks them against the exact global computations
-(gradient vanishing, Tjurina count, tangent incidence) and reports failures
-instead of raising.
+local Milnor/Tjurina numbers, and reads back the text form it prints.
+Declarations live on curve records; the verification routine checks them
+against the exact global computations (gradient vanishing, tangent cone,
+Tjurina count) and reports failures instead of raising.
 """
 from __future__ import annotations
 
@@ -23,6 +23,10 @@ class SmoothCurve(ValueError):
 
 class NonConvenient(ValueError):
     """Newton boundary does not touch both coordinate axes."""
+
+
+class NotNodal(ValueError):
+    """Check or criterion needs every declared singularity to be a node."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,23 @@ class SingType:
             return "WH(%s,%s)" % self.params
         return "T(2,%d,%d)" % self.params
 
+    @staticmethod
+    def parse(token: str) -> "SingType":
+        """Read the form __str__ prints: A<k>, D<k>, E<k>, ORD<m>, WH(p,q)
+        or T(2,q,r)."""
+        head, paren, rest = token.partition("(")
+        args = rest[:-1].split(",") if rest.endswith(")") else ()
+        kind = head.rstrip("0123456789")
+        build = {"A": SingType.A, "D": SingType.D, "E": SingType.E,
+                 "ORD": SingType.ordinary}.get(kind)
+        if head == "WH" and len(args) == 2:
+            return SingType.weighted(*map(Fraction, args))
+        if head == "T" and len(args) == 3 and args[0] == "2":
+            return SingType.T(int(args[1]), int(args[2]))
+        if build is not None and kind != head and not paren:
+            return build(int(head[len(kind):]))
+        raise ValueError("unknown singularity type %r" % token)
+
 
 # the two types the genus, component and Torelli criteria are stated for
 NODE = SingType.A(1)
@@ -124,6 +145,9 @@ class DeclaredSing:
                 raise ValueError("tangent must be a linear form")
             if self.point is None:
                 raise ValueError("tangent declaration needs a point")
+            if eval_at(self.tangent, self.point) != 0:
+                raise ValueError("tangent %s does not pass through %s"
+                                 % (self.tangent, self.point))
 
 
 def arnold_exponent(t: SingType) -> Fraction:
@@ -187,17 +211,21 @@ class VerificationReport:
 def verify_declared(f: HPoly, sings, complete: bool = False) -> VerificationReport:
     """Check declared singularity data against exact computation.
 
-    Runs: gradient vanishing at each declared point, tangent incidence for
-    declared tangent lines, and the global Tjurina count against the sum of
-    declared local Tjurina numbers.  A nonempty declaration is taken as
-    complete.  An empty one claims nothing (a family may have singularities
-    outside the type dictionary) unless `complete` is set: then it claims
-    that the curve is smooth, and tau = 0 is checked.
+    Runs: gradient vanishing at each declared point; at each singular one
+    the tangent cone, read off the Hessian H of f there (A_k, k >= 2:
+    H = c*l*l^T with c != 0, l the declared tangent if any; D_k, E_k,
+    ORD_m: H = 0; not checked at A1, WH and T points); and the global
+    Tjurina count against the sum of declared local Tjurina numbers.  A
+    nonempty declaration is taken as complete.  An empty one claims nothing
+    (a family may have singularities outside the type dictionary) unless
+    `complete` is set: then it claims that the curve is smooth, and tau = 0
+    is checked.
     Failures are reported, not raised.
     """
     sings = list(sings)
     checks = []
     grads = partials(f)
+    hessian = None
     for i, s in enumerate(sings):
         label = "sing[%d] %s" % (i, s.stype)
         if s.point is None:
@@ -208,11 +236,21 @@ def verify_declared(f: HPoly, sings, complete: bool = False) -> VerificationRepo
         ok = all(v == 0 for v in vals)
         checks.append(Check(label + " gradient", ok,
                             "gradient at %s = (%s, %s, %s)" % (s.point, *vals)))
-        if s.tangent is not None:
-            tv = eval_at(s.tangent, s.point)
-            checks.append(Check(label + " tangent", tv == 0,
-                                "tangent %s at %s evaluates to %s"
-                                % (s.tangent, s.point, tv)))
+        if not ok or s.stype == NODE or s.stype.kind in ("WH", "T"):
+            continue
+        if hessian is None:
+            hessian = [partials(g) for g in grads]
+        h = [[eval_at(g, s.point) for g in row] for row in hessian]
+        line = (s.tangent.coeff_vector() if s.tangent is not None
+                else next(filter(any, h), h[0]))
+        # A_k: H = c*l*l^T with c != 0, that is H nonzero and each row a
+        # multiple of l; D_k, E_k, ORD_m: H = 0
+        ok = (any(map(any, h)) == (s.stype.kind == "A")
+              and all(r[a] * line[b] == r[b] * line[a] for r in h
+                      for a in range(3) for b in range(a)))
+        checks.append(Check(label + " tangent cone", ok, "Hessian at %s = [%s]"
+                            % (s.point, "; ".join(" ".join(map(str, r))
+                                                  for r in h))))
     if sings or complete:
         declared = sum(local_numbers(s.stype)[1] for s in sings)
         try:

@@ -15,20 +15,12 @@ from typing import Optional
 
 from .exactlin import QMatrix, kernel_basis
 from .polygcd import gcd_many
-from .ring3 import HPoly, ProjPoint, eval_at, mono_basis
-from .singcat import CUSP, NODE
-
-
-class NotNodalCurve(ValueError):
-    """Criterion needs all declared singularities to be ordinary nodes."""
+from .ring3 import HPoly, ProjPoint, mono_basis
+from .singcat import CUSP, NODE, NotNodal
 
 
 class WrongSingularityTypes(ValueError):
     """Criterion needs all declared singularities to be nodes or cusps."""
-
-
-class TangentNotThroughPoint(ValueError):
-    """Declared tangent line does not pass through the declared point."""
 
 
 @dataclass(frozen=True)
@@ -61,9 +53,6 @@ def _tangent_direction(point: ProjPoint, tangent: HPoly) -> tuple:
     Q.  Any second point of l spans the same derivative condition modulo
     the vanishing one (by Euler's relation, the derivative along p is a
     multiple of the value at p), so the system does not depend on which."""
-    if eval_at(tangent, point) != 0:
-        raise TangentNotThroughPoint(
-            "tangent %s does not pass through %s" % (tangent, point))
     a, b, c = tangent.coeff_vector()
     px, py, pz = point.coords
     return (b * pz - c * py, c * px - a * pz, a * py - b * px)
@@ -90,7 +79,8 @@ def linear_system_cusps(nodes, cusps, m: int) -> LinearSystem:
     """Forms of degree m vanishing at every node, and at each cusp point
     with tangent cone containing the declared cuspidal tangent (vanishing
     plus a directional-derivative condition: two linear conditions per
-    cusp)."""
+    cusp).  Each tangent passes through its point, as DeclaredSing
+    requires."""
     monos = mono_basis(m)
     rows = [_eval_row(monos, p) for p in nodes]
     for point, tangent in cusps:
@@ -130,22 +120,37 @@ def _first_witness(system_of, bound) -> Optional[int]:
     return None
 
 
+def _witness_data(curve, types, scope_error):
+    """The nodes declared with a point, the (point, tangent) pairs of the
+    cusps declared with both, and a note on the singularities declared
+    without that data, or None.  Raises scope_error unless the curve
+    declares singularities, all of the given types."""
+    kinds = [s.stype for s in curve.sings]
+    if not kinds or any(t not in types for t in kinds):
+        raise scope_error("the criterion needs declared singularities, each "
+                          "%s; got [%s]" % (" or ".join(map(str, types)),
+                                            ", ".join(map(str, kinds))))
+    nodes = [s.point for s in curve.sings
+             if s.stype == NODE and s.point is not None]
+    cusps = [(s.point, s.tangent) for s in curve.sings
+             if s.stype == CUSP and s.tangent is not None]
+    missing = len(kinds) - len(nodes) - len(cusps)
+    return nodes, cusps, ("%d declared singularities lack the rational point/"
+                          "tangent data needed for a witness search" % missing
+                          if missing else None)
+
+
 def torelli_nodal(curve) -> TorelliVerdict:
     """Witness search for a nodal curve record: find m (with 2m < d-1 for
     an irreducible curve, 2m < d-2 otherwise) such that the degree-m forms
     through the nodes are nonzero with zero-dimensional base locus.  The
     criterion is sufficient only: exhausting the search returns
-    "criterion_fails", never a disproof."""
-    points = []
-    for s in curve.sings:
-        if s.stype != NODE:
-            raise NotNodalCurve("declared singularity %s is not a node" % s.stype)
-        if s.point is None:
-            raise NotNodalCurve("node without a declared point")
-        points.append(s.point)
-    if not points:
-        raise NotNodalCurve("curve declares no nodes; the nodal criterion "
-                            "needs a singular curve")
+    "criterion_fails", never a disproof, and so does a node declared
+    without a rational point, with no search.  Raises NotNodal unless the
+    record declares singularities, all of them nodes."""
+    points, _, lacking = _witness_data(curve, (NODE,), NotNodal)
+    if lacking:
+        return TorelliVerdict("criterion_fails", None, False, lacking)
     d = curve.f.degree
     limit = (d - 1) if curve.irreducible else (d - 2)
     witness = _first_witness(lambda m: linear_system_points(points, m), limit)
@@ -171,28 +176,14 @@ def torelli_cuspidal(curve) -> TorelliVerdict:
 
     First the count criterion n + 2*kappa <= 5d/12 - 1; when it certifies,
     a witness is attached if the declared data allow the search.  Otherwise
-    a direct witness search over 2m < 5d/6 - 2.  Cusps declared without a
-    rational point (or without a tangent) make the witness search
-    unavailable.
+    a direct witness search over 2m < 5d/6 - 2.  Singularities declared
+    without a rational point (or cusps without a tangent) make the witness
+    search unavailable.  Raises WrongSingularityTypes unless the record
+    declares singularities, all of them nodes or cusps.
     """
+    nodes, cusps, lacking = _witness_data(curve, (NODE, CUSP),
+                                          WrongSingularityTypes)
     d = curve.f.degree
-    if not curve.sings:
-        raise WrongSingularityTypes("curve declares no singularities; the "
-                                    "node-and-cusp criteria need a singular "
-                                    "curve")
-    nodes = []
-    cusps = []
-    missing = 0
-    for s in curve.sings:
-        if s.stype not in (NODE, CUSP):
-            raise WrongSingularityTypes(
-                "declared singularity %s is neither a node nor a cusp" % s.stype)
-        if s.stype == NODE and s.point is not None:
-            nodes.append(s.point)
-        elif s.stype == CUSP and s.point is not None and s.tangent is not None:
-            cusps.append((s.point, s.tangent))
-        else:
-            missing += 1
     n = sum(1 for s in curve.sings if s.stype == NODE)
     kappa = len(curve.sings) - n
 
@@ -202,16 +193,14 @@ def torelli_cuspidal(curve) -> TorelliVerdict:
 
     count_ok = Fraction(n + 2 * kappa) <= Fraction(5 * d, 12) - 1
     if count_ok:
-        witness = find_witness() if not missing else None
+        witness = find_witness() if not lacking else None
         detail = "%d + 2*%d <= 5*%d/12 - 1" % (n, kappa, d)
         if witness is not None:
             detail += "; witness degree %d attached" % witness
         return TorelliVerdict("torelli", witness, True, detail)
-    if missing:
-        return TorelliVerdict(
-            "criterion_fails", None, False,
-            "count criterion fails and %d declared singularities lack the "
-            "rational point/tangent data needed for a witness search" % missing)
+    if lacking:
+        return TorelliVerdict("criterion_fails", None, False,
+                              "count criterion fails and " + lacking)
     witness = find_witness()
     if witness is not None:
         return TorelliVerdict("torelli", witness, False,

@@ -34,6 +34,12 @@ BAD_CURVE_FILES = [
     ("expect.ar_at", "name = a\nf = x^3 + y^3 + z^3\nexpect.ar_at = 1,2\n"),
     ("expect.h0m_at", "name = a\nf = x^3 + y^3 + z^3\n"
                       "expect.h0m_at = (0, 0); (1, 0, 0)\n"),
+    ("sing", "name = a\nf = x*y*z\nsing = (1:0:0) Q5\n"),
+    ("sing", "name = a\nf = x*y*z\nsing = (1:0) A1\n"),
+    ("sing", "name = a\nf = x*y*z\nsing = A1\n"),
+    ("sing", "name = a\nf = z*y^2 - x^3\nsing = (0:0:1) A2 tangent = z\n"),
+    ("expect.ar_at", "name = a\nf = x^3 + y^3 + z^3\n"
+                     "expect.ar_at = (1, none)\n"),
 ]
 
 

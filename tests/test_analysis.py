@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from syzcurve import (UnknownInvariant, ar_dim, build_report,
-                      check_expectations, defect, h1_tangent, lookup,
-                      milnor_dim, table_values, torelli_report)
+from syzcurve import (CurveRecord, DeclaredSing, SingType, UnknownInvariant,
+                      ar_dim, build_report, check_expectations, defect,
+                      h1_tangent, lookup, milnor_dim, parse, table_values,
+                      torelli_report, verify_record)
 
 
 class TestTableValues:
@@ -95,6 +96,20 @@ class TestTorelliDispatch:
         info = torelli_report(lookup("a1_arrangement"))
         assert info["applicable"] is False
         assert info["status"] == "not_applicable"
+
+    def test_node_without_point_gets_a_verdict(self):
+        # the nodal cubic with its node declared by type only verifies, and
+        # its report carries a verdict: the search is unavailable, and the
+        # stable obstructed curve is upgraded as with the declared point
+        rec = CurveRecord("pointless", parse("y^2*z - x^2*(x + z)"), True, 1,
+                          (0,), (DeclaredSing(SingType.A(1)),))
+        assert verify_record(rec).passed
+        info = build_report(rec)["torelli"]
+        assert (info["method"], info["criterion_status"], info["status"]) == (
+            "nodal", "criterion_fails", "dimension_obstruction")
+        assert info["detail"].startswith(
+            "1 declared singularities lack the rational point/tangent data "
+            "needed for a witness search; curve family has dimension 8")
 
 
 class TestExpectationComparator:

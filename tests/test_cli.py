@@ -31,10 +31,13 @@ sing = (0:0:1) A1
 
 # a line without "=", then a bad integer, a record check, a bad point, a
 # file that is not UTF-8, an irreducible flag that is neither true nor
-# false, a misspelt key and a pair expectation that is not a pair, each
-# with the field its error names
+# false, a misspelt key, a pair expectation that is not a pair, an unknown
+# singularity type, a point with two coordinates, a declaration without a
+# point and a tangent off its point, each with the field its error names
 MALFORMED_FILES = [("line 1", "name only\n")] + [
-    BAD_CURVE_FILES[i] for i in (0, 4, 7, 8, 9, 10, 12)]
+    BAD_CURVE_FILES[i] for i in (0, 4, 7, 8, 9, 10, 12, 14, 15, 16, 17)]
+MALFORMED_IDS = [field.split()[0] for field, _ in MALFORMED_FILES[:8]] + [
+    "sing_type", "sing_point", "sing_layout", "sing_tangent"]
 
 
 def run(capsys, *argv):
@@ -70,9 +73,19 @@ class TestAnalyze:
         assert code == 2
         assert "verification failed" in err
 
+    def test_wrong_cusp_tangent_exit_2(self, capsys, tmp_path):
+        # x passes through the cusp (0:0:1) of z*y^2 - x^3, but the
+        # cuspidal tangent there is y
+        path = write_curve_file(tmp_path / "cusp.curve",
+                                "name = cusp\nf = z*y^2 - x^3\n"
+                                "sing = (0:0:1) A2 tangent=x\n")
+        code, out, err = run(capsys, "analyze", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("verification failed: cusp: "
+                              "sing[0] A2 tangent cone -- Hessian at (0:0:1)")
+
     @pytest.mark.parametrize("field, text", MALFORMED_FILES,
-                             ids=[field.split()[0]
-                                  for field, _ in MALFORMED_FILES])
+                             ids=MALFORMED_IDS)
     def test_malformed_file_exit_2(self, capsys, tmp_path, field, text):
         path = write_curve_file(tmp_path / "syn.curve", text)
         code, out, err = run(capsys, "analyze", path)

@@ -150,6 +150,58 @@ class TestCurveFile:
         ok = {r.key: r.ok for r in check_expectations(rec)}
         assert ok["ar_at"] and ok["h0m_at"]
 
+    def test_h0m_at_none_means_nonzero(self, tmp_path):
+        # the catalog's family records keep (k, None) for "any nonzero
+        # value"; a file says it with none, in any case
+        path = write_curve_file(tmp_path / "none.curve",
+                                "name = q\nf = x*y*z^2 + x^4 + y^4\n"
+                                "sing = (0:0:1) A1\n"
+                                "expect.h0m_at = (1, none); (0, 0); (3, NONE)\n")
+        rec = load_curve_file(path)
+        assert rec.expected["h0m_at"] == ((1, None), (0, 0), (3, None))
+        [result] = check_expectations(rec)
+        assert result.ok
+        # h0m_dim(f, 0) = 0, so "nonzero" fails there
+        path = write_curve_file(tmp_path / "zero.curve",
+                                "name = q\nf = x*y*z^2 + x^4 + y^4\n"
+                                "sing = (0:0:1) A1\nexpect.h0m_at = (0, none)\n")
+        assert not check_expectations(load_curve_file(path))[0].ok
+
+    def test_catalog_records_round_trip_through_files(self, tmp_path):
+        # every record whose declarations all carry points, written out in
+        # the file format from the printed forms, loads and verifies
+        written = 0
+        for rec in catalog():
+            if any(s.point is None for s in rec.sings):
+                continue
+            lines = ["name = " + rec.name, "f = %s" % rec.f,
+                     "irreducible = %s" % rec.irreducible,
+                     "components = %d" % rec.components]
+            if rec.component_genera is not None:
+                lines.append("genera = " + ",".join(map(str,
+                                                        rec.component_genera)))
+            if rec.sings:
+                lines.append("sing = " + " ; ".join(
+                    "%s %s" % (s.point, s.stype)
+                    + (" tangent = %s" % s.tangent if s.tangent else "")
+                    for s in rec.sings))
+            path = write_curve_file(tmp_path / (rec.name + ".curve"),
+                                    "\n".join(lines) + "\n")
+            loaded = load_curve_file(path)
+            assert (loaded.f, loaded.sings, loaded.irreducible,
+                    loaded.components, loaded.component_genera) == (
+                rec.f, rec.sings, rec.irreducible, rec.components,
+                rec.component_genera), rec.name
+            written += 1
+        assert written == 16
+
+    def test_wrong_tangent_fails_verification(self, tmp_path):
+        path = write_curve_file(tmp_path / "cusp.curve",
+                                "name = c\nf = z*y^2 - x^3\n"
+                                "sing = (0:0:1) A2 tangent=x\n")
+        with pytest.raises(VerificationFailed, match="sing.0. A2 tangent cone"):
+            load_curve_file(path)
+
     def test_readme_example_holds(self, tmp_path):
         readme = Path(__file__).resolve().parent.parent / "README.md"
         block = re.search(r"```text\n(# a one-node quartic\n.*?)```",

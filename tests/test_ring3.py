@@ -2,6 +2,7 @@
 bases, multiplication matrices, evaluation, coordinate changes."""
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -119,6 +120,19 @@ class TestEvalAndPoints:
     def test_projpoint_rejects_zero(self):
         with pytest.raises(ValueError):
             ProjPoint(0, 0, 0)
+
+    @given(st.tuples(*[st.fractions(max_denominator=50)] * 3).filter(any))
+    def test_projpoint_parse_inverts_str(self, coords):
+        p = ProjPoint(*coords)
+        assert ProjPoint.parse(str(p)) == p
+        assert ProjPoint.parse(" (%s : %s : %s) " % coords) == p
+
+    @pytest.mark.parametrize("text", [
+        "(1:0)", "1:0:0", "(1:0:0", "(1:0:0:0)", "(a:0:0)", "(1::0)",
+        "(0:0:0)", "(1/0:1:1)", "()", ""])
+    def test_projpoint_parse_refuses(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            ProjPoint.parse(text)
 
     def test_eval_at(self):
         f = parse("x^2*z - y^3")

@@ -2,13 +2,28 @@
 and the Newton-polygon Milnor number."""
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from syzcurve import (DeclaredSing, NonConvenient, ProjPoint, SingType,
                       SmoothCurve, alpha_curve, arnold_exponent,
                       kouchnirenko_mu, local_numbers, parse, verify_declared)
+from syzcurve.curvecat import lookup
 
 F = Fraction
+
+# weights 1/a with a >= 2 give an integer local Milnor number
+inverse_weights = st.integers(min_value=2, max_value=40).map(lambda a: F(1, a))
+sing_types = st.one_of(
+    st.integers(min_value=1, max_value=10 ** 6).map(SingType.A),
+    st.integers(min_value=4, max_value=10 ** 6).map(SingType.D),
+    st.sampled_from((6, 7, 8)).map(SingType.E),
+    st.integers(min_value=3, max_value=10 ** 6).map(SingType.ordinary),
+    st.builds(SingType.weighted, inverse_weights, inverse_weights),
+    st.builds(SingType.T, st.integers(min_value=2, max_value=10 ** 6),
+              st.integers(min_value=2, max_value=10 ** 6)),
+)
 
 
 class TestSingType:
@@ -26,6 +41,18 @@ class TestSingType:
         assert str(SingType.A(1)) == "A1"
         assert str(SingType.D(4)) == "D4"
         assert str(SingType.ordinary(5)) == "ORD5"
+
+    @given(sing_types)
+    def test_parse_inverts_str(self, t):
+        assert SingType.parse(str(t)) == t
+
+    @pytest.mark.parametrize("token", [
+        "Q5", "A", "A0", "a1", "A1(", "A(1)", "E9", "ORD", "ORD2", "D3",
+        "WH(1/3)", "WH(1/3,1/5", "WH(1/2,1/3,1/5)", "T(3,6,6)", "T(2,6)",
+        "T(2,1,6)", "(1:0:0)", ""])
+    def test_parse_refuses(self, token):
+        with pytest.raises(ValueError):
+            SingType.parse(token)
 
     def test_tangent_requires_point(self):
         with pytest.raises(ValueError):
@@ -112,17 +139,67 @@ class TestVerifyDeclared:
         assert not report.passed
 
     def test_tangent_incidence_checked(self):
+        # incidence is checked where the tangent is declared: z does not
+        # vanish at (0:0:1), so no declaration, and no check, can carry it
+        with pytest.raises(ValueError, match="does not pass through"):
+            DeclaredSing(SingType.A(2), ProjPoint(0, 0, 1),
+                         tangent=parse("z"))
+
+    def test_cusp_tangent_cone_checked(self):
+        # the cuspidal tangent of z*y^2 - x^3 at (0:0:1) is y, not x
         f = parse("z*y^2 - x^3")
         good = verify_declared(
             f, [DeclaredSing(SingType.A(2), ProjPoint(0, 0, 1),
                              tangent=parse("y"))])
         assert good.passed
-        # z does not vanish at (0:0:1), so the incidence check must fail
+        assert verify_declared(
+            f, [DeclaredSing(SingType.A(2), ProjPoint(0, 0, 1))]).passed
         bad = verify_declared(
             f, [DeclaredSing(SingType.A(2), ProjPoint(0, 0, 1),
-                             tangent=parse("z"))])
-        assert not bad.passed
-        assert any("tangent" in c.name for c in bad.failures())
+                             tangent=parse("x"))])
+        assert [c.name for c in bad.failures()] == ["sing[0] A2 tangent cone"]
+        assert bad.failures()[0].detail == (
+            "Hessian at (0:0:1) = [0 0 0; 0 2 0; 0 0 0]")
+
+    @pytest.mark.parametrize("poly, stype, cone_ok", [
+        # a node's Hessian has rank 2: no A_k with k >= 2 has that cone
+        ("y^2*z - x^2*(x + z)", SingType.A(2), False),
+        # three lines through (0:0:1): a triple point, Hessian 0
+        ("x*y*(x - y)", SingType.ordinary(3), True),
+        ("x*y*(x - y)", SingType.A(2), False),
+        # y^3 + x^4 in the chart z = 1: E6, Hessian 0
+        ("y^3*z + x^4", SingType.E(6), True),
+        ("y^3*z + x^4", SingType.A(2), False),
+        # y^2 + x^5: A4, a double line whatever the declared tangent
+        ("y^2*z^3 + x^5", SingType.A(4), True),
+        ("y^2*z^3 + x^5", SingType.D(4), False),
+    ])
+    def test_tangent_cone_by_type(self, poly, stype, cone_ok):
+        report = verify_declared(parse(poly),
+                                 [DeclaredSing(stype, ProjPoint(0, 0, 1))])
+        cone = [c for c in report.checks if c.name.endswith("tangent cone")]
+        assert [c.passed for c in cone] == [cone_ok]
+
+    @pytest.mark.parametrize("name, cones", [
+        ("triangle", []),
+        ("ts_2_3", ["sing[1] A4 tangent cone"]),   # sing[0] is WH(1/3,1/5)
+        ("family_2_2_2", []),
+    ])
+    def test_nodes_weighted_and_t_points_skip_the_cone(self, name, cones):
+        rec = lookup(name)
+        names = [c.name for c in verify_declared(rec.f, rec.sings).checks]
+        assert [n for n in names if n.endswith("cone")] == cones
+
+    def test_swapped_types_fail_the_cone(self):
+        # a1_arrangement's first A1 and first D4 exchanged: the declared
+        # Tjurina total stays 19, but (0:0:1) is a node, not a triple point
+        rec = lookup("a1_arrangement")
+        sings = list(rec.sings)
+        sings[0], sings[3] = (DeclaredSing(SingType.D(4), sings[0].point),
+                              DeclaredSing(SingType.A(1), sings[3].point))
+        report = verify_declared(rec.f, sings)
+        assert [c.name for c in report.failures()] == [
+            "sing[0] D4 tangent cone"]
 
     def test_pointless_declarations_count_tjurina(self):
         f = parse("(x^2 + y^2)^3 + (y^3 + z^3)^2")

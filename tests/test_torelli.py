@@ -6,12 +6,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from syzcurve import (HPoly, LinearSystem, NotNodalCurve, ProjPoint, QMatrix,
-                      TangentNotThroughPoint, WrongSingularityTypes, ar_dim,
-                      base_locus_zero_dim, dimension_obstruction,
+from syzcurve import (CurveRecord, DeclaredSing, HPoly, LinearSystem,
+                      NotNodal, ProjPoint, QMatrix, SingType,
+                      WrongSingularityTypes, ar_dim, base_locus_zero_dim,
+                      dimension_obstruction, genus_sum_check,
                       gradient_matrix, in_span, kernel_basis, linear_change,
                       linear_system_cusps, linear_system_points, moduli_dim,
-                      mono_basis, parse, saturation_dim, severi_dim,
+                      mono_basis, parse, saturation_dim, severi_dim, singcat,
                       torelli_cuspidal, torelli_nodal, torelli_nodal_count)
 from syzcurve.curvecat import lookup
 from syzcurve.ring3 import eval_at, partials
@@ -73,6 +74,12 @@ def kernel_direction_system(nodes, cusps, m):
 points = st.tuples(coeffs, coeffs, coeffs).filter(any)
 
 
+def pointless_node_cubic(*extra):
+    """The nodal cubic with its node declared by type only, plus `extra`."""
+    return CurveRecord("pointless_node", parse("y^2*z - x^2*(x + z)"), True,
+                       1, (0,), (DeclaredSing(SingType.A(1)),) + extra)
+
+
 class TestLinearSystems:
     def test_no_points_full_system(self):
         assert linear_system_points([], 1).dim == 3
@@ -128,10 +135,6 @@ class TestLinearSystems:
             [g.coeff_vector()
              for g in kernel_direction_system(nodes, cusps, m)])
 
-    def test_tangent_must_pass_through_point(self):
-        with pytest.raises(TangentNotThroughPoint):
-            linear_system_cusps([], [(ProjPoint(0, 0, 1), parse("z"))], 2)
-
 
 class TestBaseLocus:
     def test_zero_dimensional(self):
@@ -175,10 +178,24 @@ class TestNodalCriterion:
         assert v.status == "criterion_fails"
 
     def test_rejects_cusps_and_smooth(self):
-        with pytest.raises(NotNodalCurve):
+        with pytest.raises(NotNodal):
             torelli_nodal(lookup("cuspidal_cubic"))
-        with pytest.raises(NotNodalCurve):
+        with pytest.raises(NotNodal):
             torelli_nodal(lookup("fermat3"))
+
+    def test_node_without_point_fails_criterion(self):
+        # the search needs every node's point; one declared by type only
+        # makes it unavailable, as a pointless cusp does for the cusp-aware
+        # criterion, and neither raises
+        v = torelli_nodal(pointless_node_cubic())
+        assert (v.status, v.witness_degree, v.by_count) == (
+            "criterion_fails", None, False)
+        assert v.detail == ("1 declared singularities lack the rational "
+                            "point/tangent data needed for a witness search")
+        with_cusp = pointless_node_cubic(DeclaredSing(SingType.A(2)))
+        assert torelli_cuspidal(with_cusp).detail == (
+            "count criterion fails and 2 declared singularities lack the "
+            "rational point/tangent data needed for a witness search")
 
     def test_count_shortcut(self):
         assert torelli_nodal_count(4, 1, True)
@@ -221,6 +238,29 @@ class TestCuspidalCriterion:
             torelli_cuspidal(lookup("a1_arrangement"))   # has D4 points
         with pytest.raises(WrongSingularityTypes):
             torelli_cuspidal(lookup("fermat3"))
+
+
+class TestCriterionScope:
+    @pytest.mark.parametrize("criterion, error, name, declared", [
+        (torelli_nodal, NotNodal, "cuspidal_cubic", "[A2]"),
+        (torelli_nodal, NotNodal, "fermat3", "[]"),
+        (torelli_nodal, NotNodal, "ts_2_3", "[WH(1/3,1/5), A4]"),
+        (torelli_cuspidal, WrongSingularityTypes, "fermat4", "[]"),
+        (torelli_cuspidal, WrongSingularityTypes, "family_2_2_2",
+         "[T(2,6,6)]"),
+    ])
+    def test_scope_error_names_the_declared_types(self, criterion, error,
+                                                  name, declared):
+        with pytest.raises(error) as info:
+            criterion(lookup(name))
+        assert str(info.value).endswith("; got " + declared)
+
+    def test_one_not_nodal_error(self):
+        # the genus check and the nodal criterion share one exception
+        assert NotNodal is singcat.NotNodal
+        for check in (genus_sum_check, torelli_nodal):
+            with pytest.raises(NotNodal):
+                check(lookup("one_cusp_octic"))
 
 
 class TestDimensionCounts:
