@@ -76,17 +76,16 @@ def linear_system_points(points, m: int) -> LinearSystem:
 
 
 def linear_system_cusps(nodes, cusps, m: int) -> LinearSystem:
-    """Forms of degree m vanishing at every node, and at each cusp point
-    with tangent cone containing the declared cuspidal tangent (vanishing
-    plus a directional-derivative condition: two linear conditions per
-    cusp).  Each tangent passes through its point, as DeclaredSing
-    requires."""
+    """Forms of degree m vanishing at every node point and at the point of
+    each declared cusp (a DeclaredSing, which refuses a tangent off its
+    point), with tangent cone containing its cuspidal tangent: vanishing
+    plus a directional derivative, two linear conditions per cusp."""
     monos = mono_basis(m)
     rows = [_eval_row(monos, p) for p in nodes]
-    for point, tangent in cusps:
-        direction = _tangent_direction(point, tangent)
-        rows.append(_eval_row(monos, point))
-        rows.append(_derivative_row(monos, point, direction))
+    for s in cusps:
+        rows.append(_eval_row(monos, s.point))
+        rows.append(_derivative_row(
+            monos, s.point, _tangent_direction(s.point, s.tangent)))
     # sized by the monomials, so that with no condition every one is free
     mat = QMatrix(len(rows), len(monos), [c for row in rows for c in row])
     return LinearSystem(m, tuple(HPoly.from_coeff_vector(m, v)
@@ -121,10 +120,10 @@ def _first_witness(system_of, bound) -> Optional[int]:
 
 
 def _witness_data(curve, types, scope_error):
-    """The nodes declared with a point, the (point, tangent) pairs of the
-    cusps declared with both, and a note on the singularities declared
-    without that data, or None.  Raises scope_error unless the curve
-    declares singularities, all of the given types."""
+    """The nodes declared with a point, the cusps declared with a point and
+    a tangent, and a note on the singularities declared without that data,
+    or None.  Raises scope_error unless the curve declares singularities,
+    all of the given types."""
     kinds = [s.stype for s in curve.sings]
     if not kinds or any(t not in types for t in kinds):
         raise scope_error("the criterion needs declared singularities, each "
@@ -132,7 +131,7 @@ def _witness_data(curve, types, scope_error):
                                             ", ".join(map(str, kinds))))
     nodes = [s.point for s in curve.sings
              if s.stype == NODE and s.point is not None]
-    cusps = [(s.point, s.tangent) for s in curve.sings
+    cusps = [s for s in curve.sings
              if s.stype == CUSP and s.tangent is not None]
     missing = len(kinds) - len(nodes) - len(cusps)
     return nodes, cusps, ("%d declared singularities lack the rational point/"

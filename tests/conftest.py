@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from syzcurve import HPoly, QMatrix, dim_graded, mono_basis, partials, rank
+from syzcurve import (HPoly, QMatrix, catalog, dim_graded, linear_change,
+                      mono_basis, parse, partials, rank)
+from syzcurve.curvecat import lookup, thom_sebastiani
 from syzcurve.syzygy import jacobian_rows
 
 # a generic arrangement of nine lines (no three concurrent); its first d
@@ -139,3 +141,25 @@ def line_product(lines) -> HPoly:
     for a, b, c in lines:
         f = f * (a * x + b * y + c * z)
     return f
+
+
+# 20 catalog curves, the ladder arrangements of degree 7, 8 and 9, a free
+# arrangement of nine lines in general coordinates, whose regularity index
+# 11 lies above T/2 = 10.5, and thom_sebastiani(1, 7), whose degree t = 10
+# lies strictly between T/2 = 9 and its regularity index 11
+MIRROR_CURVES = ([rec.name for rec in catalog()]
+                 + ["ladder_7", "ladder_8", "ladder_9", "free_nonic",
+                    "ts_1_7"])
+
+
+def mirror_curve(name):
+    """The curve of MIRROR_CURVES named name."""
+    if name == "ts_1_7":
+        return thom_sebastiani(1, 7).f
+    if name == "free_nonic":
+        return linear_change(
+            parse("x*y*z*(x^2 - y^2)*(y^2 - z^2)*(x^2 - z^2)"),
+            [[1, 2, 3], [0, 1, 5], [1, 0, 1]])
+    if name.startswith("ladder_"):
+        return line_product(LADDER_LINES[:int(name[len("ladder_"):])])
+    return lookup(name).f

@@ -9,9 +9,30 @@ from syzcurve import (NotNodal, RelationViolated, ar_dim, dim_graded, freeness,
                       genus_sum_check, h0_tangent, h1_tangent, h2_tangent,
                       h0m_dim, is_stable, linear_change, mdr, numerics,
                       parse, stability_sufficient, tau)
-from syzcurve.curvecat import catalog, lookup
+from syzcurve.curvecat import catalog, lookup, non_ts_family, thom_sebastiani
+
+from conftest import MIRROR_CURVES, mirror_curve
 
 F = Fraction
+
+# MIRROR_CURVES, the session workload's Thom-Sebastiani curves (a + b = 5..8)
+# and non_ts_family(a, 2, c) for a, c in {2, 3}, and the arrangements of the
+# first 4, 5 and 6 ladder lines
+SCAN_CURVES = list(dict.fromkeys(
+    MIRROR_CURVES
+    + ["ts_%d_%d" % (a, d - a) for d in range(5, 9)
+       for a in range(1, d // 2 + 1)]
+    + ["family_%d_2_%d" % (a, c) for a in (2, 3) for c in (2, 3)]
+    + ["ladder_%d" % d for d in (4, 5, 6)]))
+
+
+def scan_curve(name):
+    """A freshly parsed copy of the curve of SCAN_CURVES named name."""
+    kind, _, params = name.partition("_")
+    if kind in ("ts", "family"):
+        make = thom_sebastiani if kind == "ts" else non_ts_family
+        return parse(str(make(*map(int, params.split("_"))).f))
+    return parse(str(mirror_curve(name)))
 
 
 class TestNumerics:
@@ -80,14 +101,6 @@ class TestStability:
         assert is_stable(lookup("zariski_sextic").f)
         assert not is_stable(lookup("triangle").f)
         assert not is_stable(lookup("cuspidal_cubic").f)
-
-    def test_equivalent_to_low_degree_relation_vanishing(self):
-        for name in ("fermat4", "nodal_cubic", "a1_arrangement",
-                     "nine_d4_nonic"):
-            f = lookup(name).f
-            d = f.degree
-            expected = all(ar_dim(f, m) == 0 for m in range((d - 1) // 2 + 1))
-            assert is_stable(f) == expected
 
     def test_sufficient_criterion(self):
         # alpha = 5/6 at degree 6 clears the threshold
@@ -185,6 +198,66 @@ class TestFreeness:
         for rec in catalog():
             if is_stable(rec.f):
                 assert not freeness(rec.f).free, rec.name
+
+
+class TestVerdictsAgainstDegreeScans:
+    """is_stable reads mdr >= d/2 and freeness reads n(floor(T/2)),
+    T = 3(d-2), n = h0m_dim.  The degree scans they replace are the
+    oracles here: no relation in degrees <= (d-1)/2, and the first nonzero
+    n of a middle-out scan over 0..T.  Verdicts and oracles run on two
+    fresh copies, so that no value kept by one answers for the other."""
+
+    @pytest.mark.parametrize("name", SCAN_CURVES)
+    def test_verdicts_match_the_scans(self, name):
+        f = scan_curve(name)
+        verdict, stable = freeness(f), is_stable(f)
+        g = scan_curve(name)
+        d, top = g.degree, 3 * (g.degree - 2)
+        n = [h0m_dim(g, k) for k in range(top + 1)]
+        # n never decreases up to the middle (Dimca and Popescu 2016)
+        assert all(n[k] <= n[k + 1] for k in range(top // 2))
+        witness = next((k for k in sorted(range(top + 1),
+                                          key=lambda k: (abs(2 * k - top), k))
+                        if n[k]), None)
+        r = mdr(g)
+        exponents = ((r, d - 1 - r) if witness is None and r is not None
+                     else None)
+        assert ((verdict.free, verdict.exponents, verdict.witness_degree)
+                == (witness is None, exponents, witness))
+        assert stable == all(ar_dim(g, m) == 0
+                             for m in range((d - 1) // 2 + 1))
+
+    def test_freeness_reads_only_the_middle_degree(self, monkeypatch):
+        seen = []
+
+        def spy(f, k, real=syzcurve.logbundle.h0m_dim):
+            seen.append(k)
+            return real(f, k)
+        monkeypatch.setattr(syzcurve.logbundle, "h0m_dim", spy)
+        for name in ("triangle", "five_lines", "dual_hesse"):
+            freeness(scan_curve(name))
+        assert seen == [1, 4, 10]
+
+    def test_is_stable_takes_no_relation_dimension(self, monkeypatch):
+        def refuse(f, m):
+            raise AssertionError("is_stable asked for ar_dim at %d" % m)
+        monkeypatch.setattr(syzcurve.logbundle, "ar_dim", refuse)
+        assert ([is_stable(scan_curve(name))
+                 for name in ("zariski_sextic", "triangle", "fermat3")]
+                == [True, False, True])
+
+    # at d = 2 the window is T = 0 and mdr can be 0, which a truth test of
+    # mdr would read as None; the cubic has T = 3 and mdr None
+    @pytest.mark.parametrize("poly, free, exponents, witness, stable", [
+        ("x*y", True, (0, 1), None, False),
+        ("x^2 + y^2 + z^2", False, None, 0, True),
+        ("x^2*y + y^2*z + z^2*x", False, None, 1, True)])
+    def test_low_degree_boundary(self, poly, free, exponents, witness,
+                                 stable):
+        v = freeness(parse(poly))
+        assert (v.free, v.exponents, v.witness_degree) == (free, exponents,
+                                                          witness)
+        assert is_stable(parse(poly)) == stable
 
 
 class TestGenusCheck:

@@ -25,8 +25,9 @@ from syzcurve.ring3 import (Mono, SingularMatrix, _basis_index, mult_matrix,
 from syzcurve.syzygy import (_colon_matrix, _jac_left_kernel, _rank_mod_p,
                              _results, jacobian_rows)
 
-from conftest import (LADDER_LINES, coeffs, direct_jacobian_dim, hpolys,
-                      koszul_rank, line_product, same_span, smooth_milnor_dim)
+from conftest import (LADDER_LINES, MIRROR_CURVES, coeffs,
+                      direct_jacobian_dim, hpolys, koszul_rank, line_product,
+                      mirror_curve, same_span, smooth_milnor_dim)
 
 TRIANGLE = parse("x*y*z")
 FERMAT3 = parse("x^3 + y^3 + z^3")
@@ -555,27 +556,6 @@ class TestSelfDuality:
         v = freeness(parse(str(self_dual_curve(name))))
         assert ((v.free, v.exponents, v.witness_degree)
                 == middle_out_freeness(name))
-
-
-# 20 catalog curves, the ladder arrangements of degree 7, 8 and 9, a free
-# arrangement of nine lines in general coordinates, whose regularity index
-# 11 lies above T/2 = 10.5, and thom_sebastiani(1, 7), whose degree t = 10
-# lies strictly between T/2 = 9 and its regularity index 11
-MIRROR_CURVES = ([rec.name for rec in catalog()]
-                 + ["ladder_7", "ladder_8", "ladder_9", "free_nonic",
-                    "ts_1_7"])
-
-
-def mirror_curve(name):
-    if name == "ts_1_7":
-        return thom_sebastiani(1, 7).f
-    if name == "free_nonic":
-        return linear_change(
-            parse("x*y*z*(x^2 - y^2)*(y^2 - z^2)*(x^2 - z^2)"),
-            [[1, 2, 3], [0, 1, 5], [1, 0, 1]])
-    if name.startswith("ladder_"):
-        return line_product(LADDER_LINES[:int(name[len("ladder_"):])])
-    return lookup(name).f
 
 
 def mirror_record(name):

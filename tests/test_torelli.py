@@ -16,6 +16,7 @@ from syzcurve import (CurveRecord, DeclaredSing, HPoly, LinearSystem,
                       torelli_cuspidal, torelli_nodal, torelli_nodal_count)
 from syzcurve.curvecat import lookup
 from syzcurve.ring3 import eval_at, partials
+from syzcurve.singcat import CUSP
 
 from conftest import coeffs, same_span
 
@@ -60,8 +61,9 @@ def kernel_direction_system(nodes, cusps, m):
     coefficient row that is independent of the cusp point."""
     monos = [HPoly.monomial(u) for u in mono_basis(m)]
     rows = [[eval_at(g, p) for g in monos] for p in nodes]
-    for point, tangent in cusps:
-        line = QMatrix.from_rows([tangent.coeff_vector()])
+    for s in cusps:
+        point = s.point
+        line = QMatrix.from_rows([s.tangent.coeff_vector()])
         second = next(v for v in kernel_basis(line)
                       if any(cross(v, point.coords)))
         rows.append([eval_at(g, point) for g in monos])
@@ -100,7 +102,7 @@ class TestLinearSystems:
             assert all(eval_at(g, p) == 0 for p in pts)
 
     def test_cusp_imposes_two_conditions(self):
-        cusp = (ProjPoint(0, 0, 1), parse("x"))
+        cusp = DeclaredSing(CUSP, ProjPoint(0, 0, 1), parse("x"))
         system = linear_system_cusps([], [cusp], 2)
         assert system.dim == 4
         # each member vanishes at the cusp and its derivative along the
@@ -110,12 +112,22 @@ class TestLinearSystems:
 
     def test_mixed_nodes_and_cusps(self):
         nodes = [ProjPoint(1, 0, 0)]
-        cusps = [(ProjPoint(0, 0, 1), parse("x"))]
+        cusps = [DeclaredSing(CUSP, ProjPoint(0, 0, 1), parse("x"))]
         system = linear_system_cusps(nodes, cusps, 2)
         assert system.dim == 3
         for g in system.basis:
             assert eval_at(g, ProjPoint(1, 0, 0)) == 0
             assert eval_at(g, ProjPoint(0, 0, 1)) == 0
+
+    def test_tangent_off_its_point_yields_no_system(self):
+        # the line z = 0 misses (0:0:1), so its direction l x p is 0 and
+        # the derivative row would impose nothing: a raw (point, tangent)
+        # pair is not taken, and the declared cusp refuses the tangent
+        point, tangent = ProjPoint(0, 0, 1), parse("z")
+        with pytest.raises(AttributeError):
+            linear_system_cusps([], [(point, tangent)], 2)
+        with pytest.raises(ValueError, match="does not pass through"):
+            DeclaredSing(CUSP, point, tangent)
 
     @given(st.lists(points, max_size=2),
            st.lists(st.tuples(points, points), min_size=1, max_size=2),
@@ -127,7 +139,8 @@ class TestLinearSystems:
         # point, so both systems are the same space of forms
         assume(all(any(cross(p, q)) for p, q in pairs))
         nodes = [ProjPoint(*n) for n in nodes]
-        cusps = [(ProjPoint(*p), HPoly.from_coeff_vector(1, cross(p, q)))
+        cusps = [DeclaredSing(CUSP, ProjPoint(*p),
+                              HPoly.from_coeff_vector(1, cross(p, q)))
                  for p, q in pairs]
         assert same_span(
             [g.coeff_vector()
